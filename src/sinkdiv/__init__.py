@@ -16,12 +16,10 @@ from .engine import (
     kernel_rows,
     last_stats,
     lse_rows,
-    lse_rows_batched,
     lse_rows_with_grad,
     reset_high_water,
     soft_min,
     softmin,
-    weighted_kernel_sum,
 )
 from .errors import (
     DegenerateMeasure,
@@ -72,9 +70,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CostSpec", "MmdKernelSpec", "cost", "gibbs_weight", "mmd_kernel",
     "ReductionPlan", "ReductionStats", "last_stats", "high_water",
-    "reset_high_water", "lse_rows", "lse_rows_batched", "lse_rows_with_grad",
-    "kernel_rows", "kernel_grad_rows", "weighted_kernel_sum", "softmin",
-    "soft_min",
+    "reset_high_water", "lse_rows", "lse_rows_with_grad", "kernel_rows",
+    "kernel_grad_rows", "softmin", "soft_min",
     "SinkdivError", "InvalidInput", "DegenerateMeasure", "FormatError",
     "IoError", "NumericalFailure", "TooLarge", "GradientUnreliable",
     "DiscreteMeasure", "from_arrays", "load_csv", "save_csv", "load_json",

@@ -96,14 +96,27 @@ def mmd_kernel(kspec: MmdKernelSpec, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sq_dist_block(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances, coordinates accumulated in index order."""
-    n, m = xs.shape[0], ys.shape[0]
-    acc = np.zeros((n, m), dtype=np.float64)
-    for d in range(xs.shape[1]):
-        diff = xs[:, d, None] - ys[None, :, d]
-        acc += diff * diff
-    return acc
+def sq_dist_block(xs: np.ndarray, ys: np.ndarray, out=None, work=None) -> np.ndarray:
+    """Pairwise squared distances, coordinates accumulated in index order.
+
+    ``out`` and ``work`` are optional ``(n, m)`` buffers for the result and,
+    when ``d > 1``, the per-coordinate terms, so that a caller building many
+    blocks reuses its memory. The values do not depend on whether they are
+    given.
+    """
+    n, m, d = xs.shape[0], ys.shape[0], xs.shape[1]
+    out = np.empty((n, m)) if out is None else out
+    if d == 0:
+        out.fill(0.0)
+    elif d > 1 and work is None:
+        work = np.empty((n, m))
+    for k in range(d):
+        term = out if k == 0 else work
+        np.subtract(xs[:, k, None], ys[None, :, k], out=term)
+        np.multiply(term, term, out=term)
+        if k:
+            np.add(out, term, out=out)
+    return out
 
 
 def cost_block(spec: CostSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

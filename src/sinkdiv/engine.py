@@ -1,22 +1,24 @@
-"""Pairwise reductions over point clouds, in streaming or dense form.
+"""Pairwise reductions over point clouds, all run by one tiled loop.
 
 Every operation here reduces an implicit ``n_rows x n_cols`` matrix of terms
 (log-sum-exp rows, kernel sums, and their position-derivative companions)
-without the caller ever building that matrix. Two execution modes share one
-canonical arithmetic:
+without the caller ever building that matrix. Each operation supplies only
+its term; one private function, :func:`_reduce`, does the rest:
 
-* ``streaming`` walks the columns in tiles and the rows in fixed-size blocks,
-  recomputing costs on the fly. Memory stays linear in ``n_rows + n_cols``;
-  the row maximum needed for a stable log-sum-exp is carried as a running
-  maximum across tiles.
-* ``dense`` materializes the full term matrix first and is used as the
-  reference implementation in tests and oracles.
+* Rows are cut into blocks of ``rb = max(1, PAIR_BUDGET // n_cols)`` rows,
+  so a block holds at most ``PAIR_BUDGET`` pairs (one 256 x 256 tile), or
+  one row when a row alone is longer; memory stays linear in
+  ``n_rows + n_cols``. ``dense`` mode is the same loop with one block.
+* Each worker allocates its block buffers once and reuses them. A block's
+  squared distances are built once, in the coordinate order of
+  :func:`costs.sq_dist_block`, and turned into its terms in place.
+* A log-sum-exp row is shifted by its exact maximum over the whole row, then
+  exponentiated. Row sums and gradient sums are accumulated tile by tile over
+  ``tile_size``-column slices, in column order.
 
-Both modes reduce each output row in the same order: an exact maximum over
-all terms, then tile-sequential accumulation of per-tile partial sums. That
-fixed order makes results bit-reproducible regardless of the execution mode
-or the number of worker threads, and is what allows the streaming path to be
-validated against the dense one to within a few ulps.
+Every output row thus goes through the same arithmetic in the same order
+whatever the mode, the row block or the thread count, so results are
+bitwise identical across all three.
 """
 
 from __future__ import annotations
@@ -27,35 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import (
-    CostSpec,
-    MmdKernelSpec,
-    cost_block,
-    cost_grad_block,
-    kernel_block,
-    kernel_grad_block,
-)
+from .costs import CostSpec, MmdKernelSpec, sq_dist_block
 from .errors import DegenerateMeasure, InvalidInput
 from .measures import DiscreteMeasure
 
 __all__ = [
-    "ReductionPlan",
-    "ReductionStats",
-    "last_stats",
-    "reset_high_water",
-    "high_water",
-    "lse_rows",
-    "lse_rows_batched",
-    "lse_rows_with_grad",
-    "kernel_rows",
-    "kernel_grad_rows",
-    "exp_grad_rows",
-    "weighted_kernel_sum",
-    "softmin",
-    "soft_min",
+    "ReductionPlan", "ReductionStats", "last_stats", "reset_high_water", "high_water",
+    "lse_rows", "lse_rows_with_grad", "exp_grad_rows", "kernel_rows", "kernel_grad_rows",
+    "softmin", "soft_min",
 ]
 
-ROW_BLOCK = 256
+PAIR_BUDGET = 256 * 256
 MODES = ("streaming", "dense")
 
 
@@ -63,31 +47,27 @@ MODES = ("streaming", "dense")
 class ReductionPlan:
     """Shape, tiling, and execution policy for one reduction.
 
-    ``tile_size`` bounds the number of columns processed per inner step in
-    streaming mode (and the partial-sum width in both modes). ``batch``
-    declares the number of independent same-shape problems for the batched
-    entry points. ``threads`` distributes row blocks (or batch entries)
-    across a thread pool; results are independent of the thread count.
+    ``tile_size`` is the width of the column slices whose partial sums are
+    accumulated in order, in both modes. ``streaming`` mode works on row
+    blocks within the pair budget, ``dense`` on one block of all rows.
+    ``threads`` distributes row blocks across a thread pool; results are
+    independent of the thread count.
     """
 
     n_rows: int
     n_cols: int
     tile_size: int = 256
     mode: str = "streaming"
-    batch: int | None = None
     threads: int = 1
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
-            raise DegenerateMeasure(
-                f"reduction needs at least one row and one column, got {self.n_rows}x{self.n_cols}"
-            )
+            raise DegenerateMeasure("reduction needs at least one row and one column, "
+                                    f"got {self.n_rows}x{self.n_cols}")
         if self.tile_size < 1:
             raise InvalidInput(f"tile_size must be >= 1, got {self.tile_size}")
         if self.mode not in MODES:
             raise InvalidInput(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.batch is not None and self.batch < 1:
-            raise InvalidInput(f"batch must be >= 1, got {self.batch}")
         if self.threads < 1:
             raise InvalidInput(f"threads must be >= 1, got {self.threads}")
 
@@ -96,9 +76,10 @@ class ReductionPlan:
 class ReductionStats:
     """Allocation accounting for the most recent reduction call.
 
-    ``pair_buffer_bytes`` is the largest buffer indexed by (row, column)
-    pairs that the call allocated; in streaming mode it is bounded by the
-    block and tile sizes rather than by ``n_rows * n_cols``.
+    ``pair_buffer_bytes`` is the size of one block buffer indexed by (row,
+    column) pairs; in streaming mode it stays within ``PAIR_BUDGET`` pairs
+    unless a single row is longer. ``peak_bytes`` adds up the inputs, the
+    per-row outputs and every worker's block buffers.
     """
 
     op: str
@@ -122,8 +103,7 @@ def last_stats() -> ReductionStats | None:
 def reset_high_water() -> None:
     """Zero the running maxima tracked across engine calls."""
     with _STATS_LOCK:
-        _HIGH_WATER["peak_bytes"] = 0
-        _HIGH_WATER["pair_buffer_bytes"] = 0
+        _HIGH_WATER.update(dict.fromkeys(_HIGH_WATER, 0))
 
 
 def high_water() -> dict:
@@ -134,20 +114,12 @@ def high_water() -> dict:
 
 def _record_stats(op, plan, pair_buffer_bytes, peak_bytes):
     global _LAST_STATS
-    stats = ReductionStats(
-        op=op,
-        mode=plan.mode,
-        n_rows=plan.n_rows,
-        n_cols=plan.n_cols,
-        pair_buffer_bytes=int(pair_buffer_bytes),
-        peak_bytes=int(peak_bytes),
-    )
+    stats = ReductionStats(op=op, mode=plan.mode, n_rows=plan.n_rows, n_cols=plan.n_cols,
+                           pair_buffer_bytes=int(pair_buffer_bytes), peak_bytes=int(peak_bytes))
     with _STATS_LOCK:
         _LAST_STATS = stats
-        _HIGH_WATER["peak_bytes"] = max(_HIGH_WATER["peak_bytes"], stats.peak_bytes)
-        _HIGH_WATER["pair_buffer_bytes"] = max(
-            _HIGH_WATER["pair_buffer_bytes"], stats.pair_buffer_bytes
-        )
+        for key in _HIGH_WATER:
+            _HIGH_WATER[key] = max(_HIGH_WATER[key], getattr(stats, key))
     return stats
 
 
@@ -173,45 +145,147 @@ def _check_vector(name: str, arr: np.ndarray, length: int) -> np.ndarray:
 
 def _check_plan(plan: ReductionPlan, n_rows: int, n_cols: int):
     if plan.n_rows != n_rows or plan.n_cols != n_cols:
-        raise InvalidInput(
-            f"plan is {plan.n_rows}x{plan.n_cols} but data is {n_rows}x{n_cols}"
-        )
+        raise InvalidInput(f"plan is {plan.n_rows}x{plan.n_cols} but data is {n_rows}x{n_cols}")
 
 
 def _blocks(n: int, size: int):
     return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _run_blocks(plan: ReductionPlan, ranges, worker):
-    if plan.threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            list(pool.map(worker, ranges))
+def _reduce(op, plan, targets, sources, vectors, make_term, *,
+            lse=False, sums=True, grad=False):
+    """The one reduction loop; returns the per-row accumulators ``(mx, acc, gacc)``.
+
+    ``vectors`` holds ``(name, array, per_row)`` triples, validated to length
+    ``n_rows`` (``per_row``) or ``n_cols`` and passed to ``make_term``. Its
+    block term ``term(sq, aux, r0, r1)`` turns the squared distances ``sq`` of
+    rows ``r0:r1`` in place into ``(weights, scale)``: what is summed along
+    each row, and the per-pair factor turning a coordinate difference into a
+    gradient entry (``aux`` is a spare block buffer when ``grad``). With
+    ``lse`` the weights are first shifted by their exact row maximum ``mx``
+    and exponentiated. ``acc`` holds the row sums of the weights (``sums``),
+    ``gacc`` the row sums of ``diff_k * scale * weights`` (``grad``).
+    """
+    ys = _check_points("targets", targets)
+    xs = _check_points("sources", sources)
+    if xs.shape[1] != ys.shape[1]:
+        raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
+    (n, d), m = xs.shape, ys.shape[0]
+    _check_plan(plan, n, m)
+    vecs = [_check_vector(name, a, n if per_row else m) for name, a, per_row in vectors]
+    term = make_term(*vecs)
+
+    rb = n if plan.mode == "dense" else min(n, max(1, PAIR_BUDGET // m))
+    blocks = _blocks(n, rb)
+    tiles = _blocks(m, plan.tile_size)
+    # contiguous coordinate columns: the same values, broadcast faster
+    xs, ys = np.asfortranarray(xs), np.asfortranarray(ys)
+    mx = np.empty(n) if lse else None
+    acc = np.zeros(n) if sums else None
+    gacc = np.zeros((n, d)) if grad else None
+    n_buf = 1 + (d > 1 or grad) + grad  # sq; diff for d > 1 or gradients; aux
+    workers = min(plan.threads, len(blocks))
+
+    def work(first):
+        bufs = np.empty((n_buf, rb, m))
+        for r0, r1 in blocks[first::workers]:
+            sq, diff, aux = [*bufs[:, : r1 - r0], None, None][:3]
+            sq_dist_block(xs[r0:r1], ys, out=sq, work=diff)
+            weights, scale = term(sq, aux, r0, r1)
+            if lse:
+                row_max = weights.max(axis=1)
+                mx[r0:r1] = row_max
+                np.subtract(weights, row_max[:, None], out=weights)
+                np.exp(weights, out=weights)
+            if sums:
+                row_acc = acc[r0:r1]
+                for j0, j1 in tiles:
+                    row_acc += weights[:, j0:j1].sum(axis=1)
+            for k in range(d if grad else 0):
+                np.subtract(xs[r0:r1, k, None], ys[None, :, k], out=diff)
+                np.multiply(diff, scale, out=diff)
+                np.multiply(diff, weights, out=diff)
+                row_acc = gacc[r0:r1, k]
+                for j0, j1 in tiles:
+                    row_acc += diff[:, j0:j1].sum(axis=1)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
     else:
-        for r in ranges:
-            worker(r)
+        work(0)
+    pair = rb * m * 8
+    arrays = [a for a in (xs, ys, *vecs, mx, acc, gacc) if a is not None]
+    peak = sum(a.nbytes for a in arrays) + workers * n_buf * pair
+    _record_stats(op, plan, pair, peak)
+    return mx, acc, gacc
 
 
-def _tile_sum(matrix: np.ndarray, tiles) -> np.ndarray:
-    """Row sums of a materialized matrix, accumulated tile-sequentially."""
-    acc = np.zeros(matrix.shape[0], dtype=np.float64)
-    for j0, j1 in tiles:
-        acc += matrix[:, j0:j1].sum(axis=1)
-    return acc
+def _inverse(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 / dist`` where ``dist > 0``, else 0 (the subgradient at coincident points)."""
+    out.fill(0.0)
+    np.divide(1.0, dist, out=out, where=dist > 0.0)
+    return out
+
+
+def _cost_term(spec: CostSpec, col, row=None, grad=False):
+    """Term ``col_j - C_ij / eps``, or ``col_j + (row_i - C_ij / eps)`` given
+    ``row``; with ``grad`` the scale is that of ``dC(x_i, y_j)/dx_i``."""
+    eps = spec.epsilon
+
+    def term(sq, aux, r0, r1):
+        scale = 2.0 if grad else None
+        if spec.p == 1:
+            np.sqrt(sq, out=sq)
+            if grad:
+                scale = _inverse(sq, aux)
+        np.divide(sq, eps, out=sq)
+        if row is None:
+            np.subtract(col, sq, out=sq)
+        else:
+            np.subtract(row[r0:r1, None], sq, out=sq)
+            np.add(col, sq, out=sq)
+        return sq, scale
+
+    return term
+
+
+def _kernel_term(kspec: MmdKernelSpec, w, grad=False):
+    """Term ``w_j k(x_i, y_j)``; with ``grad`` the weights are ``w`` and the
+    scale is that of ``dk(x_i, y_j)/dx_i``."""
+    kind, s = kspec.kind, kspec.sigma
+
+    def term(sq, aux, r0, r1):
+        if kind == "gaussian":
+            np.multiply(sq, -0.5 / s**2, out=sq)
+            np.exp(sq, out=sq)
+            if grad:
+                return w, np.multiply(sq, -1.0 / s**2, out=sq)
+        else:
+            np.sqrt(sq, out=sq)
+            inv = _inverse(sq, aux) if grad else None
+            if kind == "energy":
+                if grad:
+                    return w, np.negative(inv, out=inv)
+                np.negative(sq, out=sq)
+            else:
+                np.multiply(sq, -1.0 / s, out=sq)
+                np.exp(sq, out=sq)
+                if grad:
+                    np.multiply(sq, -1.0 / s, out=sq)
+                    return w, np.multiply(sq, inv, out=sq)
+        return np.multiply(sq, w, out=sq), None
+
+    return term
 
 
 # ---------------------------------------------------------------------------
-# Log-sum-exp reductions
+# The five reductions: each passes its term to _reduce
 # ---------------------------------------------------------------------------
 
 
-def lse_rows(
-    plan: ReductionPlan,
-    logw: np.ndarray,
-    pot: np.ndarray,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    spec: CostSpec,
-) -> np.ndarray:
+def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np.ndarray,
+             sources: np.ndarray, spec: CostSpec) -> np.ndarray:
     """Stabilized log-sum-exp rows against a potential-weighted point cloud.
 
     For each source point ``x_i`` this returns
@@ -221,139 +295,30 @@ def lse_rows(
     computed with an exact row maximum shift, so the output is finite for
     any finite inputs.
     """
-    ys = _check_points("targets", targets)
-    xs = _check_points("sources", sources)
-    if xs.shape[1] != ys.shape[1]:
-        raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
-    n, m = xs.shape[0], ys.shape[0]
-    _check_plan(plan, n, m)
-    lw = _check_vector("logw", logw, m)
-    pv = _check_vector("pot", pot, m)
-    eps = spec.epsilon
-    v = lw + pv / eps
-
-    out = np.empty(n, dtype=np.float64)
-    tiles = _blocks(m, plan.tile_size)
-
-    if plan.mode == "dense":
-        c = cost_block(spec, xs, ys)
-        t = v[None, :] - c / eps
-        mx = t.max(axis=1)
-        e = np.exp(t - mx[:, None])
-        out[:] = mx + np.log(_tile_sum(e, tiles))
-        pair = n * m * 8
-        peak = _in_bytes(lw, pv, xs, ys) + out.nbytes + 3 * pair
-        _record_stats("lse_rows", plan, pair, peak)
-        return out
-
-    rb = min(ROW_BLOCK, n)
-    tw = min(plan.tile_size, m)
-
-    def worker(block):
-        r0, r1 = block
-        xb = xs[r0:r1]
-        mx = np.full(r1 - r0, -np.inf)
-        for j0, j1 in tiles:
-            t = v[j0:j1][None, :] - cost_block(spec, xb, ys[j0:j1]) / eps
-            np.maximum(mx, t.max(axis=1), out=mx)
-        acc = np.zeros(r1 - r0, dtype=np.float64)
-        for j0, j1 in tiles:
-            t = v[j0:j1][None, :] - cost_block(spec, xb, ys[j0:j1]) / eps
-            acc += np.exp(t - mx[:, None]).sum(axis=1)
-        out[r0:r1] = mx + np.log(acc)
-
-    _run_blocks(plan, _blocks(n, rb), worker)
-    pair = rb * tw * 8
-    peak = _in_bytes(lw, pv, xs, ys) + out.nbytes + min(plan.threads, max(1, n // rb)) * 6 * pair
-    _record_stats("lse_rows", plan, pair, peak)
-    return out
+    mx, acc, _ = _reduce("lse_rows", plan, targets, sources,
+                         (("logw", logw, False), ("pot", pot, False)),
+                         lambda lw, pv: _cost_term(spec, lw + pv / spec.epsilon), lse=True)
+    return mx + np.log(acc)
 
 
-def lse_rows_with_grad(
-    plan: ReductionPlan,
-    logw: np.ndarray,
-    pot: np.ndarray,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    spec: CostSpec,
-) -> tuple[np.ndarray, np.ndarray]:
+def lse_rows_with_grad(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray,
+                       targets: np.ndarray, sources: np.ndarray,
+                       spec: CostSpec) -> tuple[np.ndarray, np.ndarray]:
     """Log-sum-exp rows plus the softmax-weighted cost gradient.
 
     Returns ``(lse, grad)`` where ``grad[i]`` is the convex combination
     ``sum_j softmax_ij * dC(x_i, y_j)/dx_i`` of cost gradients under the
     softmax weights implied by the same terms as :func:`lse_rows`.
     """
-    ys = _check_points("targets", targets)
-    xs = _check_points("sources", sources)
-    if xs.shape[1] != ys.shape[1]:
-        raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
-    n, m, d = xs.shape[0], ys.shape[0], xs.shape[1]
-    _check_plan(plan, n, m)
-    lw = _check_vector("logw", logw, m)
-    pv = _check_vector("pot", pot, m)
-    eps = spec.epsilon
-    v = lw + pv / eps
-
-    lse = np.empty(n, dtype=np.float64)
-    grad = np.empty((n, d), dtype=np.float64)
-    tiles = _blocks(m, plan.tile_size)
-
-    if plan.mode == "dense":
-        c, g = cost_grad_block(spec, xs, ys)
-        t = v[None, :] - c / eps
-        mx = t.max(axis=1)
-        e = np.exp(t - mx[:, None])
-        acc = _tile_sum(e, tiles)
-        lse[:] = mx + np.log(acc)
-        for k in range(d):
-            gacc = np.zeros(n, dtype=np.float64)
-            for j0, j1 in tiles:
-                gacc += (e[:, j0:j1] * g[:, j0:j1, k]).sum(axis=1)
-            grad[:, k] = gacc / acc
-        pair = n * m * 8 * d
-        peak = _in_bytes(lw, pv, xs, ys) + lse.nbytes + grad.nbytes + 3 * n * m * 8 + 2 * pair
-        _record_stats("lse_rows_with_grad", plan, pair, peak)
-        return lse, grad
-
-    rb = min(ROW_BLOCK, n)
-    tw = min(plan.tile_size, m)
-
-    def worker(block):
-        r0, r1 = block
-        xb = xs[r0:r1]
-        nb = r1 - r0
-        mx = np.full(nb, -np.inf)
-        for j0, j1 in tiles:
-            c = cost_block(spec, xb, ys[j0:j1])
-            t = v[j0:j1][None, :] - c / eps
-            np.maximum(mx, t.max(axis=1), out=mx)
-        acc = np.zeros(nb, dtype=np.float64)
-        gacc = np.zeros((nb, d), dtype=np.float64)
-        for j0, j1 in tiles:
-            c, g = cost_grad_block(spec, xb, ys[j0:j1])
-            t = v[j0:j1][None, :] - c / eps
-            e = np.exp(t - mx[:, None])
-            acc += e.sum(axis=1)
-            for k in range(d):
-                gacc[:, k] += (e * g[:, :, k]).sum(axis=1)
-        lse[r0:r1] = mx + np.log(acc)
-        grad[r0:r1] = gacc / acc[:, None]
-
-    _run_blocks(plan, _blocks(n, rb), worker)
-    pair = rb * tw * 8 * d
-    peak = _in_bytes(lw, pv, xs, ys) + lse.nbytes + grad.nbytes + min(plan.threads, max(1, n // rb)) * (6 * rb * tw * 8 + 2 * pair)
-    _record_stats("lse_rows_with_grad", plan, pair, peak)
-    return lse, grad
+    mx, acc, gacc = _reduce("lse_rows_with_grad", plan, targets, sources,
+                            (("logw", logw, False), ("pot", pot, False)),
+                            lambda lw, pv: _cost_term(spec, lw + pv / spec.epsilon, grad=True),
+                            lse=True, grad=True)
+    return mx + np.log(acc), gacc / acc[:, None]
 
 
-def exp_grad_rows(
-    plan: ReductionPlan,
-    colw_log: np.ndarray,
-    row_pot: np.ndarray,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    spec: CostSpec,
-) -> np.ndarray:
+def exp_grad_rows(plan: ReductionPlan, colw_log: np.ndarray, row_pot: np.ndarray,
+                  targets: np.ndarray, sources: np.ndarray, spec: CostSpec) -> np.ndarray:
     """Unnormalized exp-weighted cost-gradient rows.
 
     Returns ``out[i] = sum_j exp(colw_log_j + (row_pot_i - C(x_i, y_j)) / eps)
@@ -361,247 +326,35 @@ def exp_grad_rows(
     restored at the end, so the caller is responsible for keeping the true row
     scale within floating-point range (bounded sums are safe).
     """
-    ys = _check_points("targets", targets)
-    xs = _check_points("sources", sources)
-    if xs.shape[1] != ys.shape[1]:
-        raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
-    n, m, d = xs.shape[0], ys.shape[0], xs.shape[1]
-    _check_plan(plan, n, m)
-    u = _check_vector("colw_log", colw_log, m)
-    rp = _check_vector("row_pot", row_pot, n) / spec.epsilon
-    eps = spec.epsilon
-
-    out = np.empty((n, d), dtype=np.float64)
-    tiles = _blocks(m, plan.tile_size)
-
-    if plan.mode == "dense":
-        c, g = cost_grad_block(spec, xs, ys)
-        t = u[None, :] + (rp[:, None] - c / eps)
-        mx = t.max(axis=1)
-        e = np.exp(t - mx[:, None])
-        for k in range(d):
-            gacc = np.zeros(n, dtype=np.float64)
-            for j0, j1 in tiles:
-                gacc += (e[:, j0:j1] * g[:, j0:j1, k]).sum(axis=1)
-            out[:, k] = np.exp(mx) * gacc
-        pair = n * m * 8 * d
-        peak = _in_bytes(u, rp, xs, ys) + out.nbytes + 3 * n * m * 8 + 2 * pair
-        _record_stats("exp_grad_rows", plan, pair, peak)
-        return out
-
-    rb = min(ROW_BLOCK, n)
-    tw = min(plan.tile_size, m)
-
-    def worker(block):
-        r0, r1 = block
-        xb = xs[r0:r1]
-        nb = r1 - r0
-        rpb = rp[r0:r1]
-        mx = np.full(nb, -np.inf)
-        for j0, j1 in tiles:
-            c = cost_block(spec, xb, ys[j0:j1])
-            t = u[j0:j1][None, :] + (rpb[:, None] - c / eps)
-            np.maximum(mx, t.max(axis=1), out=mx)
-        gacc = np.zeros((nb, d), dtype=np.float64)
-        for j0, j1 in tiles:
-            c, g = cost_grad_block(spec, xb, ys[j0:j1])
-            t = u[j0:j1][None, :] + (rpb[:, None] - c / eps)
-            e = np.exp(t - mx[:, None])
-            for k in range(d):
-                gacc[:, k] += (e * g[:, :, k]).sum(axis=1)
-        out[r0:r1] = np.exp(mx)[:, None] * gacc
-
-    _run_blocks(plan, _blocks(n, rb), worker)
-    pair = rb * tw * 8 * d
-    peak = _in_bytes(u, rp, xs, ys) + out.nbytes + min(plan.threads, max(1, n // rb)) * (6 * rb * tw * 8 + 2 * pair)
-    _record_stats("exp_grad_rows", plan, pair, peak)
-    return out
+    mx, _, gacc = _reduce("exp_grad_rows", plan, targets, sources,
+                          (("colw_log", colw_log, False), ("row_pot", row_pot, True)),
+                          lambda u, rp: _cost_term(spec, u, rp / spec.epsilon, grad=True),
+                          lse=True, sums=False, grad=True)
+    return np.exp(mx)[:, None] * gacc
 
 
-def lse_rows_batched(
-    plan: ReductionPlan,
-    logw: np.ndarray,
-    pot: np.ndarray,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    spec: CostSpec,
-) -> np.ndarray:
-    """Batched :func:`lse_rows` over ``plan.batch`` independent problems.
-
-    Inputs carry a leading batch axis (``logw``/``pot`` are ``(B, m)``,
-    ``targets``/``sources`` are ``(B, m, d)`` / ``(B, n, d)``) and the result
-    is ``(B, n)``. Each entry matches the unbatched call bit for bit.
-    """
-    if plan.batch is None:
-        raise InvalidInput("plan.batch must be set for batched reductions")
-    b = plan.batch
-    lw = np.asarray(logw, dtype=np.float64)
-    pv = np.asarray(pot, dtype=np.float64)
-    ys = np.asarray(targets, dtype=np.float64)
-    xs = np.asarray(sources, dtype=np.float64)
-    for name, arr, ndim in (("logw", lw, 2), ("pot", pv, 2), ("targets", ys, 3), ("sources", xs, 3)):
-        if arr.ndim != ndim or arr.shape[0] != b:
-            raise InvalidInput(f"{name} must have a leading batch axis of {b}, got shape {arr.shape}")
-
-    entry_plan = ReductionPlan(
-        n_rows=plan.n_rows, n_cols=plan.n_cols, tile_size=plan.tile_size,
-        mode=plan.mode, batch=None, threads=1,
-    )
-    out = np.empty((b, plan.n_rows), dtype=np.float64)
-
-    def worker(i):
-        out[i] = lse_rows(entry_plan, lw[i], pv[i], ys[i], xs[i], spec)
-
-    if plan.threads > 1 and b > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            list(pool.map(worker, range(b)))
-    else:
-        for i in range(b):
-            worker(i)
-    rb = min(ROW_BLOCK, plan.n_rows)
-    tw = min(plan.tile_size, plan.n_cols)
-    pair = (plan.n_rows * plan.n_cols * 8) if plan.mode == "dense" else rb * tw * 8
-    peak = lw.nbytes + pv.nbytes + ys.nbytes + xs.nbytes + out.nbytes + min(plan.threads, b) * 6 * pair
-    _record_stats("lse_rows_batched", plan, pair, peak)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Kernel reductions
-# ---------------------------------------------------------------------------
-
-
-def kernel_rows(
-    plan: ReductionPlan,
-    weights: np.ndarray,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    kspec: MmdKernelSpec,
-) -> np.ndarray:
+def kernel_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarray,
+                sources: np.ndarray, kspec: MmdKernelSpec) -> np.ndarray:
     """Rows of the kernel convolution: ``out[i] = sum_j w_j k(x_i, y_j)``."""
-    ys = _check_points("targets", targets)
-    xs = _check_points("sources", sources)
-    if xs.shape[1] != ys.shape[1]:
-        raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
-    n, m = xs.shape[0], ys.shape[0]
-    _check_plan(plan, n, m)
-    w = _check_vector("weights", weights, m)
-
-    out = np.empty(n, dtype=np.float64)
-    tiles = _blocks(m, plan.tile_size)
-
-    if plan.mode == "dense":
-        k = kernel_block(kspec, xs, ys)
-        term = k * w[None, :]
-        out[:] = _tile_sum(term, tiles)
-        pair = n * m * 8
-        peak = _in_bytes(w, xs, ys) + out.nbytes + 2 * pair
-        _record_stats("kernel_rows", plan, pair, peak)
-        return out
-
-    rb = min(ROW_BLOCK, n)
-    tw = min(plan.tile_size, m)
-
-    def worker(block):
-        r0, r1 = block
-        xb = xs[r0:r1]
-        acc = np.zeros(r1 - r0, dtype=np.float64)
-        for j0, j1 in tiles:
-            k = kernel_block(kspec, xb, ys[j0:j1])
-            acc += (k * w[j0:j1][None, :]).sum(axis=1)
-        out[r0:r1] = acc
-
-    _run_blocks(plan, _blocks(n, rb), worker)
-    pair = rb * tw * 8
-    peak = _in_bytes(w, xs, ys) + out.nbytes + min(plan.threads, max(1, n // rb)) * 4 * pair
-    _record_stats("kernel_rows", plan, pair, peak)
-    return out
+    _, acc, _ = _reduce("kernel_rows", plan, targets, sources, (("weights", weights, False),),
+                        lambda w: _kernel_term(kspec, w))
+    return acc
 
 
-def kernel_grad_rows(
-    plan: ReductionPlan,
-    weights: np.ndarray,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    kspec: MmdKernelSpec,
-) -> np.ndarray:
+def kernel_grad_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarray,
+                     sources: np.ndarray, kspec: MmdKernelSpec) -> np.ndarray:
     """Gradient rows of the kernel convolution.
 
     ``out[i] = sum_j w_j dk(x_i, y_j)/dx_i``, shape ``(n, d)``.
     """
-    ys = _check_points("targets", targets)
-    xs = _check_points("sources", sources)
-    if xs.shape[1] != ys.shape[1]:
-        raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
-    n, m, d = xs.shape[0], ys.shape[0], xs.shape[1]
-    _check_plan(plan, n, m)
-    w = _check_vector("weights", weights, m)
-
-    out = np.empty((n, d), dtype=np.float64)
-    tiles = _blocks(m, plan.tile_size)
-
-    if plan.mode == "dense":
-        g = kernel_grad_block(kspec, xs, ys)
-        for k in range(d):
-            gacc = np.zeros(n, dtype=np.float64)
-            for j0, j1 in tiles:
-                gacc += (g[:, j0:j1, k] * w[j0:j1][None, :]).sum(axis=1)
-            out[:, k] = gacc
-        pair = n * m * 8 * d
-        peak = _in_bytes(w, xs, ys) + out.nbytes + 2 * pair
-        _record_stats("kernel_grad_rows", plan, pair, peak)
-        return out
-
-    rb = min(ROW_BLOCK, n)
-    tw = min(plan.tile_size, m)
-
-    def worker(block):
-        r0, r1 = block
-        xb = xs[r0:r1]
-        gacc = np.zeros((r1 - r0, d), dtype=np.float64)
-        for j0, j1 in tiles:
-            g = kernel_grad_block(kspec, xb, ys[j0:j1])
-            for k in range(d):
-                gacc[:, k] += (g[:, :, k] * w[j0:j1][None, :]).sum(axis=1)
-        out[r0:r1] = gacc
-
-    _run_blocks(plan, _blocks(n, rb), worker)
-    pair = rb * tw * 8 * d
-    peak = _in_bytes(w, xs, ys) + out.nbytes + min(plan.threads, max(1, n // rb)) * (4 * rb * tw * 8 + 2 * pair)
-    _record_stats("kernel_grad_rows", plan, pair, peak)
-    return out
+    _, _, gacc = _reduce("kernel_grad_rows", plan, targets, sources,
+                         (("weights", weights, False),),
+                         lambda w: _kernel_term(kspec, w, grad=True), sums=False, grad=True)
+    return gacc
 
 
-def weighted_kernel_sum(
-    plan: ReductionPlan,
-    weights_a: np.ndarray,
-    sources: np.ndarray,
-    weights_b: np.ndarray,
-    targets: np.ndarray,
-    kspec: MmdKernelSpec,
-) -> float:
-    """Double kernel sum ``sum_ij a_i b_j k(x_i, y_j)``.
-
-    Built on :func:`kernel_rows`, so the accumulation order (and therefore
-    the exact floating-point result) is shared between modes.
-    """
-    rows = kernel_rows(plan, weights_b, targets, sources, kspec)
-    wa = _check_vector("weights_a", weights_a, plan.n_rows)
-    return float(np.sum(wa * rows))
-
-
-# ---------------------------------------------------------------------------
-# Soft minimum
-# ---------------------------------------------------------------------------
-
-
-def softmin(
-    measure: DiscreteMeasure,
-    phi: np.ndarray,
-    spec: CostSpec,
-    query_points: np.ndarray,
-    plan: ReductionPlan | None = None,
-) -> np.ndarray:
+def softmin(measure: DiscreteMeasure, phi: np.ndarray, spec: CostSpec,
+            query_points: np.ndarray, plan: ReductionPlan | None = None) -> np.ndarray:
     """Smoothed minimum of ``C(., y) - phi(.)`` over the measure's support.
 
     For each query ``y`` this evaluates
@@ -617,9 +370,8 @@ def softmin(
     if plan is None:
         plan = ReductionPlan(n_rows=queries.shape[0], n_cols=measure.n_atoms)
     phi = _check_vector("phi", phi, measure.n_atoms)
-    return -spec.epsilon * lse_rows(
-        plan, measure.log_weights, phi, measure.positions, queries, spec
-    )
+    return -spec.epsilon * lse_rows(plan, measure.log_weights, phi, measure.positions,
+                                    queries, spec)
 
 
 def soft_min(weights: np.ndarray, values: np.ndarray, epsilon: float) -> float:
@@ -644,7 +396,3 @@ def soft_min(weights: np.ndarray, values: np.ndarray, epsilon: float) -> float:
     t = np.log(w) - vals / epsilon
     mx = t.max()
     return float(-epsilon * (mx + np.log(np.sum(np.exp(t - mx)))))
-
-
-def _in_bytes(*arrays) -> int:
-    return int(sum(a.nbytes for a in arrays))

@@ -13,9 +13,11 @@ shrinkage of the raw transport cost, making the loss nonnegative, zero only
 at equality, and a positive-definite interpolant between pure transport
 (small blur) and a kernel norm (large blur).
 
-Gradients with respect to weights and positions are true partial derivatives
-of the discrete loss, so central finite differences of the full pipeline
-reproduce them entry by entry.
+The public gradients (:func:`sinkhorn_gradient`, :func:`mmd_gradient`) are
+true partial derivatives of the discrete loss, so central finite differences
+of the full pipeline reproduce them entry by entry. The one exception is the
+``hausdorff`` flow force, which holds the self-transport potentials fixed and
+is only an approximation of the gradient (see :func:`_value_force_hausdorff`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .engine import (
     lse_rows,
     lse_rows_with_grad,
 )
-from .errors import GradientUnreliable, InvalidInput
+from .errors import GradientUnreliable, InvalidInput, NumericalFailure
 from .measures import DiscreteMeasure
 from .solver import (
     DualState,
@@ -288,6 +290,12 @@ def _require_converged(states: dict, grad: LossGradient):
         raise GradientUnreliable(f"non-converged solve(s): {detail}", partial=grad)
 
 
+def _require_finite(**arrays):
+    bad = [name for name, a in arrays.items() if not np.all(np.isfinite(a))]
+    if bad:
+        raise NumericalFailure(f"non-finite internal values: {', '.join(bad)}")
+
+
 def _value_force_ot(alpha, beta, params, warm):
     cross = sinkhorn(alpha, beta, params, init_f=warm.get("f"))
     value = dual_value(alpha, beta, cross.f, cross.g)
@@ -324,10 +332,14 @@ def _value_force_hausdorff(alpha, beta, params, warm):
     """Value and descent force with the potentials held fixed at convergence.
 
     The force differentiates the loss through the soft-minimum extension
-    maps while keeping the converged potential vectors frozen (the same
-    at-convergence treatment used for the other transport gradients); the
-    feedback of the potentials' own dependence on the positions is dropped.
-    Exact for point masses, and a faithful descent direction in practice.
+    maps while keeping the converged potential vectors frozen; the feedback
+    of the potentials' own dependence on the positions is dropped. Unlike
+    the Sinkhorn case, the Hausdorff loss is not stationary in those
+    potentials, so the force is an approximation of the gradient, not the
+    gradient: on 8 vs 9 atoms in 2D (eps=0.1, p=2) it differs from central
+    finite differences by 6.2e-3 relative to max(1, |FD|). Exact for point
+    masses, and a descent direction in practice. Non-finite potentials or
+    log-sums raise :class:`NumericalFailure`.
     """
     spec = params.cost_spec
     eps = spec.epsilon
@@ -335,6 +347,7 @@ def _value_force_hausdorff(alpha, beta, params, warm):
     auto_a = sinkhorn_symmetric(alpha, params, init_potential=warm.get("p"))
     auto_b = sinkhorn_symmetric(beta, params, init_potential=warm.get("q"))
     p, q = auto_a.potential, auto_b.potential
+    _require_finite(alpha_auto_potential=p, beta_auto_potential=q)
 
     # T(beta, q) on alpha's support: value (for the loss) and gradient (force)
     lse_q_on_a, grad_q_on_a = lse_rows_with_grad(
@@ -349,6 +362,8 @@ def _value_force_hausdorff(alpha, beta, params, warm):
         _plan(params, m, n), alpha.log_weights, p, alpha.positions, beta.positions, spec,
     )
     p_on_beta = -eps * lse_p_on_b
+    _require_finite(lse_q_on_alpha=lse_q_on_a, lse_p_on_alpha=lse_p_on_a,
+                    lse_p_on_beta=lse_p_on_b)
 
     value = 0.5 * float(
         np.dot(alpha.weights, q_on_alpha - p)
@@ -402,7 +417,11 @@ def value_and_position_force(loss: str, alpha: DiscreteMeasure, beta: DiscreteMe
                              params: SolverParams | None = None,
                              kernel: MmdKernelSpec | None = None,
                              warm: dict | None = None):
-    """Loss value and true position gradient in one evaluation.
+    """Loss value and position force (the gradient) in one evaluation.
+
+    The force is the exact position gradient for every loss except
+    ``hausdorff``, whose force holds the self-transport potentials fixed and
+    only approximates the gradient (see :func:`_value_force_hausdorff`).
 
     ``loss`` is one of ``ot_eps``, ``sinkhorn``, ``hausdorff``,
     ``mmd-energy``, ``mmd-gaussian``, ``mmd-laplacian``. Transport losses

@@ -125,6 +125,21 @@ def test_unconverged_flow_exits_3(measure_files, tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_diverging_hausdorff_flow_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    paths = []
+    for name, lo, hi in (("a.csv", 0.0, 0.2), ("b.csv", 0.6, 1.0)):
+        x = rng.uniform(lo, hi, 20)
+        path = tmp_path / name
+        path.write_text("".join(f"0.05,{xi:.17g}\n" for xi in x), encoding="utf-8")
+        paths.append(str(path))
+    code = main(["flow", *paths, "--loss", "hausdorff", "--eps", "0.1", "--p", "2",
+                 "--dt", "1e200", "--t-end", "3e200", "--threads", "1",
+                 "--out", str(tmp_path / "flow")])
+    assert code == 3
+    assert "numerical failure:" in capsys.readouterr().err
+
+
 def test_flow_writes_manifest_and_frames(measure_files, tmp_path, capsys):
     a, b = measure_files
     out = tmp_path / "flowout"

@@ -1,7 +1,10 @@
 """Reduction engine: streaming and dense paths must agree to a few ulps for
-every operation, results must be independent of threading and batching, the
-scalar soft-minimum must satisfy its limit laws, and allocation accounting
-must reflect the streaming memory model."""
+every operation (and bit for bit where row blocks are cut differently),
+results must be independent of threading, the scalar soft-minimum must
+satisfy its limit laws, and allocation accounting must reflect the streaming
+memory model."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from sinkdiv.engine import (
     kernel_grad_rows,
     kernel_rows,
     lse_rows,
-    lse_rows_batched,
     lse_rows_with_grad,
     soft_min,
     softmin,
@@ -143,28 +145,53 @@ def test_thread_count_does_not_change_bits():
     ys = rng.uniform(-1, 1, (m, 3))
     logw = np.log(rng.dirichlet(np.ones(m)))
     pot = rng.normal(0, 1, m)
-    spec = sd.CostSpec(2, 0.1)
-    ref = lse_rows(ReductionPlan(n, m, threads=1), logw, pot, ys, xs, spec)
-    for threads in (2, 4, 7):
-        got = lse_rows(ReductionPlan(n, m, threads=threads),
-                       logw, pot, ys, xs, spec)
-        assert np.array_equal(got, ref)
+    row_pot = rng.normal(0, 1, n)
+    w = np.exp(logw)
+    for p, kind in ((2, "gaussian"), (1, "laplacian"), (1, "energy")):
+        spec = sd.CostSpec(p, 0.1)
+        kspec = sd.MmdKernelSpec(kind, sigma=0.7)
+        calls = {
+            "lse_rows": lambda plan: [lse_rows(plan, logw, pot, ys, xs, spec)],
+            "lse_rows_with_grad": lambda plan: list(
+                lse_rows_with_grad(plan, logw, pot, ys, xs, spec)),
+            "exp_grad_rows": lambda plan: [
+                exp_grad_rows(plan, logw, row_pot, ys, xs, spec)],
+            "kernel_rows": lambda plan: [kernel_rows(plan, w, ys, xs, kspec)],
+            "kernel_grad_rows": lambda plan: [kernel_grad_rows(plan, w, ys, xs, kspec)],
+        }
+        for name, call in calls.items():
+            ref = call(ReductionPlan(n, m, threads=1))
+            for threads in (2, 4, 7):
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)  # switch workers as often as possible
+                try:
+                    got = call(ReductionPlan(n, m, threads=threads))
+                finally:
+                    sys.setswitchinterval(interval)
+                for g, r in zip(got, ref):
+                    assert np.array_equal(g, r), (name, p, kind, threads)
 
 
-def test_batched_rows_equal_unbatched_bits():
-    rng = np.random.default_rng(601)
-    n, m, batch = 83, 57, 5
-    xs = rng.uniform(-1, 1, (batch, n, 2))
-    ys = rng.uniform(-1, 1, (batch, m, 2))
-    logw = np.log(np.stack([rng.dirichlet(np.ones(m)) for _ in range(batch)]))
-    pots = rng.normal(0, 1, (batch, m))
-    spec = sd.CostSpec(1, 0.5)
-    got = lse_rows_batched(ReductionPlan(n, m, batch=batch, threads=3),
-                           logw, pots, ys, xs, spec)
-    for k in range(batch):
-        single = lse_rows(ReductionPlan(n, m), logw[k], pots[k], ys[k], xs[k],
-                          spec)
-        assert np.array_equal(got[k], single)
+# (n, m): blocks of 65536 // m rows; the last block short, a single column,
+# exactly one full block plus one row, and rows longer than the pair budget
+# (one-row blocks)
+@pytest.mark.parametrize("n, m, d", [(500, 300, 2), (1000, 1, 1), (257, 256, 3),
+                                     (3, 70000, 2)])
+def test_streaming_equals_dense_bits_across_block_boundaries(n, m, d):
+    rng = np.random.default_rng(602 + n)
+    xs = rng.uniform(-1, 1, (n, d))
+    ys = rng.uniform(-1, 1, (m, d))
+    logw = np.log(rng.dirichlet(np.ones(m)))
+    pot = rng.normal(0, 1, m)
+    for p in (1, 2):
+        spec = sd.CostSpec(p, 0.05)
+        a = lse_rows(ReductionPlan(n, m, tile_size=97, mode="streaming"),
+                     logw, pot, ys, xs, spec)
+        rows = min(n, max(1, 65536 // m))
+        assert engine.last_stats().pair_buffer_bytes == rows * m * 8
+        b = lse_rows(ReductionPlan(n, m, tile_size=97, mode="dense"),
+                     logw, pot, ys, xs, spec)
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,17 @@ def test_failed_step_attaches_the_partial_trajectory():
     assert traj.config is config
 
 
+def test_diverging_hausdorff_flow_is_a_numerical_failure():
+    # a huge step throws the particles so far apart that the soft-minimum
+    # extensions of the self potentials are no longer finite: a numerical
+    # failure, not a fault of the input
+    alpha, beta = _segment_pair(n=20)
+    config = FlowConfig(loss="hausdorff", params=sd.SolverParams(epsilon=0.1, p=2),
+                        dt=1e200, t_end=3e200)
+    with pytest.raises(sd.NumericalFailure, match="non-finite"):
+        run_flow(alpha, beta, config)
+
+
 def test_flow_config_validation():
     with pytest.raises(sd.InvalidInput):
         FlowConfig(loss="unknown")
