@@ -4,7 +4,10 @@ The package computes blurred transport costs between weighted point clouds,
 their debiased divergences, kernel discrepancies, analytic gradients in
 weights and positions, and explicit-Euler particle flows that descend any of
 these losses. All pairwise reductions stream over tiles with a stabilized
-log-sum-exp, so memory stays linear in the number of points.
+log-sum-exp, so memory stays linear in the number of points, with one
+exception: a Sinkhorn solve of at most 2048 x 2048 pairs keeps its scaled
+costs, 8 bytes per pair and direction, so that each iteration skips
+rebuilding them.
 """
 
 from .costs import CostSpec, MmdKernelSpec, cost, gibbs_weight, mmd_kernel

@@ -12,6 +12,11 @@ its term; one private function, :func:`_reduce`, does the rest:
 * Each worker allocates its block buffers once and reuses them. A block's
   squared distances are built once, in the coordinate order of
   :func:`costs.sq_dist_block`, and turned into its terms in place.
+* A solver passes a :class:`CostStore` to its :func:`lse_rows` calls. The
+  first call in each direction keeps every block's ``C / eps``, built by the
+  same arithmetic, and later calls of the solve start from those blocks.
+  This costs ``8 n_rows n_cols`` bytes per direction and is done only up to
+  ``CACHE_PAIRS`` pairs; larger problems stream in linear memory.
 * A log-sum-exp row is shifted by its exact maximum over the whole row, then
   exponentiated. Row sums and gradient sums are accumulated tile by tile over
   ``tile_size``-column slices, in column order.
@@ -34,12 +39,13 @@ from .errors import DegenerateMeasure, InvalidInput
 from .measures import DiscreteMeasure
 
 __all__ = [
-    "ReductionPlan", "ReductionStats", "last_stats", "reset_high_water", "high_water",
-    "lse_rows", "lse_rows_with_grad", "exp_grad_rows", "kernel_rows", "kernel_grad_rows",
-    "softmin", "soft_min",
+    "ReductionPlan", "ReductionStats", "CostStore", "last_stats", "reset_high_water",
+    "high_water", "lse_rows", "lse_rows_with_grad", "exp_grad_rows", "kernel_rows",
+    "kernel_grad_rows", "softmin", "soft_min",
 ]
 
 PAIR_BUDGET = 256 * 256
+CACHE_PAIRS = 2048 * 2048  # largest pair matrix whose C / eps a CostStore keeps
 MODES = ("streaming", "dense")
 
 
@@ -79,7 +85,8 @@ class ReductionStats:
     ``pair_buffer_bytes`` is the size of one block buffer indexed by (row,
     column) pairs; in streaming mode it stays within ``PAIR_BUDGET`` pairs
     unless a single row is longer. ``peak_bytes`` adds up the inputs, the
-    per-row outputs and every worker's block buffers.
+    per-row outputs, every worker's block buffers and the cost blocks kept by
+    the call's :class:`CostStore`.
     """
 
     op: str
@@ -148,12 +155,63 @@ def _check_plan(plan: ReductionPlan, n_rows: int, n_cols: int):
         raise InvalidInput(f"plan is {plan.n_rows}x{plan.n_cols} but data is {n_rows}x{n_cols}")
 
 
+def _points(plan: ReductionPlan, targets, sources):
+    ys = _check_points("targets", targets)
+    xs = _check_points("sources", sources)
+    if xs.shape[1] != ys.shape[1]:
+        raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
+    _check_plan(plan, xs.shape[0], ys.shape[0])
+    # contiguous coordinate columns: the same values, broadcast faster
+    return np.asfortranarray(xs), np.asfortranarray(ys)
+
+
+@dataclass(eq=False)
+class _Kept:
+    """One direction of a :class:`CostStore`."""
+
+    pinned: tuple  # the caller's (targets, sources), so that their ids stay unique
+    xs: np.ndarray
+    ys: np.ndarray
+    cost: np.ndarray | None  # C / eps of all rows, or None above CACHE_PAIRS
+    ready: bool = False
+
+
+class CostStore:
+    """The validated points and cost blocks ``C / eps`` of one solve.
+
+    A solver makes one store per solve and passes it to every :func:`lse_rows`
+    call of the solve. The first call with a given pair of point arrays,
+    plan and cost validates the points and, while ``n_rows * n_cols <=
+    CACHE_PAIRS``, keeps each row block's ``C / eps``; later calls with the
+    same arrays reuse both. Results are bitwise those of calls without a
+    store. The point arrays must not change while the store is in use.
+    """
+
+    def __init__(self):
+        self._kept: dict = {}
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the kept cost blocks."""
+        return sum(k.cost.nbytes for k in self._kept.values() if k.cost is not None)
+
+    def _lookup(self, plan, targets, sources, spec) -> _Kept:
+        key = (id(targets), id(sources), plan, spec)
+        kept = self._kept.get(key)
+        if kept is None:
+            xs, ys = _points(plan, targets, sources)
+            cost = (np.empty((plan.n_rows, plan.n_cols))
+                    if plan.n_rows * plan.n_cols <= CACHE_PAIRS else None)
+            kept = self._kept[key] = _Kept((targets, sources), xs, ys, cost)
+        return kept
+
+
 def _blocks(n: int, size: int):
     return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def _reduce(op, plan, targets, sources, vectors, make_term, *,
-            lse=False, sums=True, grad=False):
+            lse=False, sums=True, grad=False, store=None, spec=None):
     """The one reduction loop; returns the per-row accumulators ``(mx, acc, gacc)``.
 
     ``vectors`` holds ``(name, array, per_row)`` triples, validated to length
@@ -165,21 +223,21 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     ``lse`` the weights are first shifted by their exact row maximum ``mx``
     and exponentiated. ``acc`` holds the row sums of the weights (``sums``),
     ``gacc`` the row sums of ``diff_k * scale * weights`` (``grad``).
+
+    With a ``store`` (cost terms of ``spec`` only, no ``grad``) a block's
+    ``C / eps`` is read from the store, or built into it on the first call,
+    and passed as ``term(sq, aux, r0, r1, cost)``.
     """
-    ys = _check_points("targets", targets)
-    xs = _check_points("sources", sources)
-    if xs.shape[1] != ys.shape[1]:
-        raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
+    kept = None if store is None else store._lookup(plan, targets, sources, spec)
+    xs, ys = _points(plan, targets, sources) if kept is None else (kept.xs, kept.ys)
+    cost = None if kept is None else kept.cost
     (n, d), m = xs.shape, ys.shape[0]
-    _check_plan(plan, n, m)
     vecs = [_check_vector(name, a, n if per_row else m) for name, a, per_row in vectors]
     term = make_term(*vecs)
 
     rb = n if plan.mode == "dense" else min(n, max(1, PAIR_BUDGET // m))
     blocks = _blocks(n, rb)
     tiles = _blocks(m, plan.tile_size)
-    # contiguous coordinate columns: the same values, broadcast faster
-    xs, ys = np.asfortranarray(xs), np.asfortranarray(ys)
     mx = np.empty(n) if lse else None
     acc = np.zeros(n) if sums else None
     gacc = np.zeros((n, d)) if grad else None
@@ -190,8 +248,15 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
         bufs = np.empty((n_buf, rb, m))
         for r0, r1 in blocks[first::workers]:
             sq, diff, aux = [*bufs[:, : r1 - r0], None, None][:3]
-            sq_dist_block(xs[r0:r1], ys, out=sq, work=diff)
-            weights, scale = term(sq, aux, r0, r1)
+            if cost is None:
+                sq_dist_block(xs[r0:r1], ys, out=sq, work=diff)
+                weights, scale = term(sq, aux, r0, r1)
+            else:
+                block = cost[r0:r1]
+                if not kept.ready:
+                    sq_dist_block(xs[r0:r1], ys, out=block, work=diff)
+                    _scaled_cost(spec, block)
+                weights, scale = term(sq, aux, r0, r1, block)
             if lse:
                 row_max = weights.max(axis=1)
                 mx[r0:r1] = row_max
@@ -214,9 +279,13 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
             list(pool.map(work, range(workers)))
     else:
         work(0)
+    if kept is not None:
+        kept.ready = True
     pair = rb * m * 8
     arrays = [a for a in (xs, ys, *vecs, mx, acc, gacc) if a is not None]
     peak = sum(a.nbytes for a in arrays) + workers * n_buf * pair
+    if store is not None:
+        peak += store.nbytes
     _record_stats(op, plan, pair, peak)
     return mx, acc, gacc
 
@@ -228,22 +297,32 @@ def _inverse(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled_cost(spec: CostSpec, sq: np.ndarray, aux=None):
+    """Turn squared distances ``sq`` in place into ``C / eps``; returns the
+    scale of ``dC(x_i, y_j)/dx_i`` (for ``p = 1`` written into ``aux``)."""
+    scale = 2.0
+    if spec.p == 1:
+        np.sqrt(sq, out=sq)
+        if aux is not None:
+            scale = _inverse(sq, aux)
+    np.divide(sq, spec.epsilon, out=sq)
+    return scale
+
+
 def _cost_term(spec: CostSpec, col, row=None, grad=False):
     """Term ``col_j - C_ij / eps``, or ``col_j + (row_i - C_ij / eps)`` given
-    ``row``; with ``grad`` the scale is that of ``dC(x_i, y_j)/dx_i``."""
-    eps = spec.epsilon
+    ``row``; with ``grad`` the scale is that of ``dC(x_i, y_j)/dx_i``. Given
+    a kept block ``cost`` of ``C / eps``, ``sq`` only receives the terms."""
 
-    def term(sq, aux, r0, r1):
-        scale = 2.0 if grad else None
-        if spec.p == 1:
-            np.sqrt(sq, out=sq)
-            if grad:
-                scale = _inverse(sq, aux)
-        np.divide(sq, eps, out=sq)
+    def term(sq, aux, r0, r1, cost=None):
+        scale = None
+        if cost is None:
+            scale = _scaled_cost(spec, sq, aux if grad else None)
+            cost = sq
         if row is None:
-            np.subtract(col, sq, out=sq)
+            np.subtract(col, cost, out=sq)
         else:
-            np.subtract(row[r0:r1, None], sq, out=sq)
+            np.subtract(row[r0:r1, None], cost, out=sq)
             np.add(col, sq, out=sq)
         return sq, scale
 
@@ -285,7 +364,7 @@ def _kernel_term(kspec: MmdKernelSpec, w, grad=False):
 
 
 def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np.ndarray,
-             sources: np.ndarray, spec: CostSpec) -> np.ndarray:
+             sources: np.ndarray, spec: CostSpec, store: CostStore | None = None) -> np.ndarray:
     """Stabilized log-sum-exp rows against a potential-weighted point cloud.
 
     For each source point ``x_i`` this returns
@@ -293,11 +372,12 @@ def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np
         ``log sum_j exp(logw_j + pot_j / eps - C(x_i, targets_j) / eps)``
 
     computed with an exact row maximum shift, so the output is finite for
-    any finite inputs.
+    any finite inputs. Calls sharing a ``store`` build each cost block once.
     """
     mx, acc, _ = _reduce("lse_rows", plan, targets, sources,
                          (("logw", logw, False), ("pot", pot, False)),
-                         lambda lw, pv: _cost_term(spec, lw + pv / spec.epsilon), lse=True)
+                         lambda lw, pv: _cost_term(spec, lw + pv / spec.epsilon), lse=True,
+                         store=store, spec=spec)
     return mx + np.log(acc)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import MmdKernelSpec
-from .errors import GradientUnreliable, InvalidInput, IoError
+from .errors import GradientUnreliable, InvalidInput, IoError, NumericalFailure
 from .losses import MMD_LOSSES, OT_LOSSES, value_and_position_force
 from .measures import DiscreteMeasure, from_arrays
 from .solver import SolverParams
@@ -93,8 +93,9 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
     """Integrate the particle flow and return its trajectory.
 
     With ``t_end == 0`` no step is taken and the trajectory holds the single
-    initial frame. If a step's gradient evaluation fails, the exception is
-    re-raised with the partial trajectory attached as ``exc.trajectory``.
+    initial frame. If a step's evaluation fails with ``GradientUnreliable``
+    or ``NumericalFailure``, the exception is re-raised with the partial
+    trajectory attached as ``exc.trajectory``.
     """
     if alpha0.dim != beta.dim:
         raise InvalidInput(f"dimension mismatch: {alpha0.dim} vs {beta.dim}")
@@ -134,7 +135,7 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
             kernel=config.kernel, warm=warm,
         )
         loss_curve.append((n_steps * config.dt, value))
-    except GradientUnreliable as exc:
+    except (GradientUnreliable, NumericalFailure) as exc:
         exc.trajectory = FlowTrajectory(frames=frames, loss_curve=loss_curve,
                                         config=config)
         raise

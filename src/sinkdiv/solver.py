@@ -2,8 +2,11 @@
 
 The dual problem is solved by alternating soft-minimum updates on a pair of
 potentials ``(f, g)`` living on the two supports. All updates run through the
-streaming reduction engine, so no pairwise matrix is ever materialized except
-in the explicit diagnostics helpers, which guard their size.
+tiled reduction engine. Each solve keeps the scaled costs ``C / eps`` its
+first iteration builds in an :class:`engine.CostStore` (8 bytes per pair and
+direction) while the problem has at most ``engine.CACHE_PAIRS`` pairs; larger
+problems stream in linear memory. Apart from that, only the explicit
+diagnostics helpers build a pairwise matrix, and they guard its size.
 
 Two loops are provided:
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec, cost_block
-from .engine import ReductionPlan, lse_rows
+from .engine import CostStore, ReductionPlan, lse_rows, softmin
 from .errors import InvalidInput, NumericalFailure, TooLarge
 from .measures import DiscreteMeasure
 
@@ -151,14 +154,15 @@ def sinkhorn(
             raise InvalidInput("init_f contains NaN or infinite entries")
 
     g = np.zeros(m, dtype=np.float64)
+    store = CostStore()
     iterations = 0
     residual = np.inf
     converged = False
     for iterations in range(1, params.max_iters + 1):
-        g = -eps * lse_rows(g_plan, log_a, f, xs, ys, spec)
+        g = -eps * lse_rows(g_plan, log_a, f, xs, ys, spec, store=store)
         if not np.all(np.isfinite(g)):
             raise NumericalFailure("dual iterates became non-finite")
-        f_new = -eps * lse_rows(f_plan, log_b, g, ys, xs, spec)
+        f_new = -eps * lse_rows(f_plan, log_b, g, ys, xs, spec, store=store)
         if not np.all(np.isfinite(f_new)):
             raise NumericalFailure("dual iterates became non-finite")
         residual = float(np.dot(alpha.weights, np.abs(f_new - f)))
@@ -197,9 +201,10 @@ def sinkhorn_symmetric(
         if not np.all(np.isfinite(p)):
             raise InvalidInput("init_potential contains NaN or infinite entries")
 
+    store = CostStore()
     iterations = 0
     while True:
-        t = -eps * lse_rows(plan, log_a, p, xs, xs, spec)
+        t = -eps * lse_rows(plan, log_a, p, xs, xs, spec, store=store)
         if not np.all(np.isfinite(t)):
             raise NumericalFailure("symmetric iterates became non-finite")
         residual = float(np.max(np.abs(p - t)))
@@ -244,8 +249,6 @@ def extend_potential(
     solver updates. At the fixed point, extending a symmetric potential onto
     its own support reproduces the potential.
     """
-    from .engine import softmin  # local import to keep module load acyclic
-
     return softmin(measure, np.asarray(own_potential, dtype=np.float64), spec,
                    query_points, plan=plan)
 

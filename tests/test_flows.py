@@ -146,8 +146,12 @@ def test_diverging_hausdorff_flow_is_a_numerical_failure():
     alpha, beta = _segment_pair(n=20)
     config = FlowConfig(loss="hausdorff", params=sd.SolverParams(epsilon=0.1, p=2),
                         dt=1e200, t_end=3e200)
-    with pytest.raises(sd.NumericalFailure, match="non-finite"):
+    with pytest.raises(sd.NumericalFailure, match="non-finite") as err:
         run_flow(alpha, beta, config)
+    traj = err.value.trajectory
+    assert traj.config is config
+    assert traj.frames[0][0] == 0.0
+    assert np.array_equal(traj.frames[0][1], alpha.positions)
 
 
 def test_flow_config_validation():

@@ -1,11 +1,15 @@
 """Dual solver: fixed points on closed-form instances, gauge behaviour,
 monotone dual ascent, marginal feasibility of the implied plan, potential
-extension, and the typed failure modes."""
+extension, the per-solve cost store, and the typed failure modes."""
+
+import sys
 
 import numpy as np
 import pytest
 
 import sinkdiv as sd
+from sinkdiv import engine
+from sinkdiv.engine import ReductionPlan, lse_rows
 from sinkdiv.measures import DiscreteMeasure
 from sinkdiv.solver import (
     SolverParams,
@@ -17,7 +21,7 @@ from sinkdiv.solver import (
     sinkhorn_symmetric,
 )
 
-from conftest import random_pair
+from conftest import random_measure, random_pair
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +115,123 @@ def test_symmetric_iteration_cap_reports_rather_than_raises():
                             symmetric_max_iters=2))
     assert not res.converged
     assert res.iterations == 2
+
+
+# ---------------------------------------------------------------------------
+# kept cost blocks: the same bits as plain lse_rows calls, within the cap
+# ---------------------------------------------------------------------------
+
+
+def _reference_sinkhorn(alpha, beta, params):
+    """The cross solve as a loop of plain lse_rows calls, no cost store."""
+    spec, eps = params.cost_spec, params.epsilon
+    n, m = alpha.n_atoms, beta.n_atoms
+    kw = dict(tile_size=params.tile_size, mode=params.mode, threads=params.threads)
+    f, g = np.zeros(n), np.zeros(m)
+    for it in range(1, params.max_iters + 1):
+        g = -eps * lse_rows(ReductionPlan(m, n, **kw), alpha.log_weights, f,
+                            alpha.positions, beta.positions, spec)
+        f_new = -eps * lse_rows(ReductionPlan(n, m, **kw), beta.log_weights, g,
+                                beta.positions, alpha.positions, spec)
+        residual = float(np.dot(alpha.weights, np.abs(f_new - f)))
+        f = f_new
+        if residual <= params.tol:
+            break
+    return f, g, it, residual
+
+
+def _reference_symmetric(alpha, params):
+    """The averaged self-transport solve as a loop of plain lse_rows calls."""
+    n = alpha.n_atoms
+    plan = ReductionPlan(n, n, tile_size=params.tile_size, mode=params.mode,
+                         threads=params.threads)
+    p, it = np.zeros(n), 0
+    while True:
+        t = -params.epsilon * lse_rows(plan, alpha.log_weights, p, alpha.positions,
+                                       alpha.positions, params.cost_spec)
+        residual = float(np.max(np.abs(p - t)))
+        if residual <= params.tol or it >= params.symmetric_max_iters:
+            return p, it, residual
+        p, it = 0.5 * (p + t), it + 1
+
+
+@pytest.mark.parametrize("kept", [True, False])
+@pytest.mark.parametrize("mode", ["streaming", "dense"])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [1, 2])
+def test_kept_costs_give_the_bits_of_plain_reductions(p, d, threads, mode, kept, monkeypatch):
+    # a small pair budget cuts these supports into several row blocks; the
+    # cap sits exactly at the largest problem (kept) or one pair below the
+    # smallest (streamed)
+    rng = np.random.default_rng(10 * p + d)
+    alpha = random_measure(rng, 90, d)
+    beta = random_measure(rng, 70, d)
+    monkeypatch.setattr(engine, "PAIR_BUDGET", 1000)
+    monkeypatch.setattr(engine, "CACHE_PAIRS", 90 * 90 if kept else 70 * 70 - 1)
+    built = []  # pairs of every squared-distance block the engine builds
+    sq_dist_block = engine.sq_dist_block
+    monkeypatch.setattr(engine, "sq_dist_block", lambda xs, ys, **kw: (
+        built.append(len(xs) * len(ys)), sq_dist_block(xs, ys, **kw))[1])
+    params = SolverParams(epsilon=0.1, p=p, tol=1e-10, max_iters=8,
+                          symmetric_max_iters=8, tile_size=16, mode=mode, threads=threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch workers as often as possible
+    try:
+        res = sinkhorn(alpha, beta, params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(built) == 2 * 90 * 70 * (1 if kept else res.iterations)
+    f, g, iterations, residual = _reference_sinkhorn(alpha, beta, params)
+    assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
+    assert (res.iterations, res.residual) == (iterations, residual)
+    assert iterations > 2
+    for measure in (alpha, beta):
+        n = measure.n_atoms
+        built.clear()
+        sym = sinkhorn_symmetric(measure, params)
+        assert sum(built) == n * n * (1 if kept else sym.iterations + 1)
+        pot, iterations, residual = _reference_symmetric(measure, params)
+        assert np.array_equal(sym.potential, pot)
+        assert (sym.iterations, sym.residual) == (iterations, residual)
+        assert iterations > 2
+
+
+def test_kept_costs_are_shared_when_both_supports_are_one_array():
+    rng = np.random.default_rng(12)
+    alpha = random_measure(rng, 50, 2)
+    params = SolverParams(epsilon=0.1, p=1, tol=1e-10, max_iters=300)
+    res = sinkhorn(alpha, alpha, params)
+    f, g, iterations, residual = _reference_sinkhorn(alpha, alpha, params)
+    assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
+    assert (res.iterations, res.residual) == (iterations, residual)
+
+
+def test_solve_within_the_cap_accounts_for_its_kept_costs():
+    rng = np.random.default_rng(13)
+    n, m = 400, 300
+    alpha, beta = random_measure(rng, n, 2), random_measure(rng, m, 2)
+    params = SolverParams(epsilon=0.1, p=2, max_iters=3)
+    engine.reset_high_water()
+    sinkhorn(alpha, beta, params)
+    # both directions are kept for the whole solve
+    assert engine.last_stats().peak_bytes > 2 * n * m * 8
+    assert engine.high_water()["peak_bytes"] == engine.last_stats().peak_bytes
+    engine.reset_high_water()
+    sinkhorn_symmetric(alpha, params)
+    assert n * n * 8 < engine.high_water()["peak_bytes"] < 2 * n * n * 8
+
+
+def test_solve_above_the_cap_streams(monkeypatch):
+    rng = np.random.default_rng(14)
+    n = m = 1500
+    alpha, beta = random_measure(rng, n, 2), random_measure(rng, m, 2)
+    monkeypatch.setattr(engine, "CACHE_PAIRS", n * m - 1)
+    engine.reset_high_water()
+    sinkhorn(alpha, beta, SolverParams(epsilon=0.1, p=2, max_iters=2))
+    hw = engine.high_water()
+    assert hw["pair_buffer_bytes"] <= 256 * 256 * 8
+    assert hw["peak_bytes"] < n * m * 8 / 10
 
 
 # ---------------------------------------------------------------------------
