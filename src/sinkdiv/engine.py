@@ -12,11 +12,12 @@ its term; one private function, :func:`_reduce`, does the rest:
 * Each worker allocates its block buffers once and reuses them. A block's
   squared distances are built once, in the coordinate order of
   :func:`costs.sq_dist_block`, and turned into its terms in place.
-* A solver passes a :class:`CostStore` to its :func:`lse_rows` calls. The
-  first call in each direction keeps every block's ``C / eps``, built by the
-  same arithmetic, and later calls of the solve start from those blocks.
-  This costs ``8 n_rows n_cols`` bytes per direction and is done only up to
-  ``CACHE_PAIRS`` pairs; larger problems stream in linear memory.
+* A solver passes one :class:`CostStore` per direction to its
+  :func:`lse_rows` calls. The first call keeps every block's ``C / eps``,
+  built by the same arithmetic, and later calls of the solve start from
+  those blocks. This costs ``8 n_rows n_cols`` bytes per direction and is
+  done only up to ``CACHE_PAIRS`` pairs; larger problems stream in linear
+  memory.
 * A log-sum-exp row is shifted by its exact maximum over the whole row, then
   exponentiated. Row sums and gradient sums are accumulated tile by tile over
   ``tile_size``-column slices, in column order.
@@ -45,7 +46,9 @@ __all__ = [
 ]
 
 PAIR_BUDGET = 256 * 256
-CACHE_PAIRS = 2048 * 2048  # largest pair matrix whose C / eps a CostStore keeps
+# largest pair matrix whose C / eps a CostStore keeps; on two shared x86 cores
+# keeping it made 800- to 2048-point 2D divergences 1.8 to 1.9 times faster
+CACHE_PAIRS = 2048 * 2048
 MODES = ("streaming", "dense")
 
 
@@ -86,7 +89,8 @@ class ReductionStats:
     column) pairs; in streaming mode it stays within ``PAIR_BUDGET`` pairs
     unless a single row is longer. ``peak_bytes`` adds up the inputs, the
     per-row outputs, every worker's block buffers and the cost blocks kept by
-    the call's :class:`CostStore`.
+    the call's :class:`CostStore`; a cross solve holds one such store per
+    direction.
     """
 
     op: str
@@ -165,45 +169,30 @@ def _points(plan: ReductionPlan, targets, sources):
     return np.asfortranarray(xs), np.asfortranarray(ys)
 
 
-@dataclass(eq=False)
-class _Kept:
-    """One direction of a :class:`CostStore`."""
-
-    pinned: tuple  # the caller's (targets, sources), so that their ids stay unique
-    xs: np.ndarray
-    ys: np.ndarray
-    cost: np.ndarray | None  # C / eps of all rows, or None above CACHE_PAIRS
-    ready: bool = False
-
-
 class CostStore:
-    """The validated points and cost blocks ``C / eps`` of one solve.
+    """The validated points and scaled costs ``C / eps`` of one solve direction.
 
-    A solver makes one store per solve and passes it to every :func:`lse_rows`
-    call of the solve. The first call with a given pair of point arrays,
-    plan and cost validates the points and, while ``n_rows * n_cols <=
-    CACHE_PAIRS``, keeps each row block's ``C / eps``; later calls with the
-    same arrays reuse both. Results are bitwise those of calls without a
-    store. The point arrays must not change while the store is in use.
+    A solver makes one store per direction of a solve and passes it to every
+    :func:`lse_rows` call in that direction, with the plan, point arrays and
+    cost it was made for. The points are validated once; while ``n_rows *
+    n_cols <= CACHE_PAIRS`` the first call keeps each row block's ``C / eps``
+    and later calls start from it. Results are bitwise those of calls
+    without a store. The point arrays must not change while the store is in
+    use.
     """
 
-    def __init__(self):
-        self._kept: dict = {}
+    def __init__(self, plan: ReductionPlan, targets: np.ndarray, sources: np.ndarray,
+                 spec: CostSpec):
+        self.plan, self.targets, self.sources, self.spec = plan, targets, sources, spec
+        self.xs, self.ys = _points(plan, targets, sources)
+        kept = plan.n_rows * plan.n_cols <= CACHE_PAIRS
+        self.cost = np.empty((plan.n_rows, plan.n_cols)) if kept else None
+        self.ready = False
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the kept cost blocks."""
-        return sum(k.cost.nbytes for k in self._kept.values() if k.cost is not None)
-
-    def _lookup(self, plan, targets, sources, spec) -> _Kept:
-        key = (id(targets), id(sources), plan, spec)
-        kept = self._kept.get(key)
-        if kept is None:
-            xs, ys = _points(plan, targets, sources)
-            cost = (np.empty((plan.n_rows, plan.n_cols))
-                    if plan.n_rows * plan.n_cols <= CACHE_PAIRS else None)
-            kept = self._kept[key] = _Kept((targets, sources), xs, ys, cost)
-        return kept
+        return 0 if self.cost is None else self.cost.nbytes
 
 
 def _blocks(n: int, size: int):
@@ -211,7 +200,7 @@ def _blocks(n: int, size: int):
 
 
 def _reduce(op, plan, targets, sources, vectors, make_term, *,
-            lse=False, sums=True, grad=False, store=None, spec=None):
+            lse=False, sums=True, grad=False, store=None):
     """The one reduction loop; returns the per-row accumulators ``(mx, acc, gacc)``.
 
     ``vectors`` holds ``(name, array, per_row)`` triples, validated to length
@@ -224,13 +213,12 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     and exponentiated. ``acc`` holds the row sums of the weights (``sums``),
     ``gacc`` the row sums of ``diff_k * scale * weights`` (``grad``).
 
-    With a ``store`` (cost terms of ``spec`` only, no ``grad``) a block's
-    ``C / eps`` is read from the store, or built into it on the first call,
-    and passed as ``term(sq, aux, r0, r1, cost)``.
+    With a ``store`` (cost terms only, no ``grad``) a block's ``C / eps`` is
+    read from the store, or built into it on the first call, and passed as
+    ``term(sq, aux, r0, r1, cost)``.
     """
-    kept = None if store is None else store._lookup(plan, targets, sources, spec)
-    xs, ys = _points(plan, targets, sources) if kept is None else (kept.xs, kept.ys)
-    cost = None if kept is None else kept.cost
+    xs, ys = _points(plan, targets, sources) if store is None else (store.xs, store.ys)
+    cost = None if store is None else store.cost
     (n, d), m = xs.shape, ys.shape[0]
     vecs = [_check_vector(name, a, n if per_row else m) for name, a, per_row in vectors]
     term = make_term(*vecs)
@@ -253,9 +241,9 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
                 weights, scale = term(sq, aux, r0, r1)
             else:
                 block = cost[r0:r1]
-                if not kept.ready:
+                if not store.ready:
                     sq_dist_block(xs[r0:r1], ys, out=block, work=diff)
-                    _scaled_cost(spec, block)
+                    _scaled_cost(store.spec, block)
                 weights, scale = term(sq, aux, r0, r1, block)
             if lse:
                 row_max = weights.max(axis=1)
@@ -279,8 +267,8 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
             list(pool.map(work, range(workers)))
     else:
         work(0)
-    if kept is not None:
-        kept.ready = True
+    if store is not None:
+        store.ready = True
     pair = rb * m * 8
     arrays = [a for a in (xs, ys, *vecs, mx, acc, gacc) if a is not None]
     peak = sum(a.nbytes for a in arrays) + workers * n_buf * pair
@@ -374,10 +362,13 @@ def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np
     computed with an exact row maximum shift, so the output is finite for
     any finite inputs. Calls sharing a ``store`` build each cost block once.
     """
+    if store is not None and not (targets is store.targets and sources is store.sources
+                                  and plan == store.plan and spec == store.spec):
+        raise InvalidInput("cost store was made for other points, plan or cost")
     mx, acc, _ = _reduce("lse_rows", plan, targets, sources,
                          (("logw", logw, False), ("pot", pot, False)),
                          lambda lw, pv: _cost_term(spec, lw + pv / spec.epsilon), lse=True,
-                         store=store, spec=spec)
+                         store=store)
     return mx + np.log(acc)
 
 

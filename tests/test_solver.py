@@ -197,14 +197,18 @@ def test_kept_costs_give_the_bits_of_plain_reductions(p, d, threads, mode, kept,
         assert iterations > 2
 
 
-def test_kept_costs_are_shared_when_both_supports_are_one_array():
+def test_store_rejects_points_it_was_not_made_for():
     rng = np.random.default_rng(12)
-    alpha = random_measure(rng, 50, 2)
-    params = SolverParams(epsilon=0.1, p=1, tol=1e-10, max_iters=300)
-    res = sinkhorn(alpha, alpha, params)
-    f, g, iterations, residual = _reference_sinkhorn(alpha, alpha, params)
-    assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
-    assert (res.iterations, res.residual) == (iterations, residual)
+    alpha, beta = random_measure(rng, 5, 2), random_measure(rng, 4, 2)
+    plan, spec = ReductionPlan(5, 4), sd.CostSpec(2, 0.1)
+    store = engine.CostStore(plan, beta.positions, alpha.positions, spec)
+    args = (beta.log_weights, np.zeros(4), beta.positions, alpha.positions)
+    lse_rows(plan, *args, spec, store=store)
+    for call in ((plan, *args[:2], beta.positions.copy(), alpha.positions, spec),
+                 (plan, *args, sd.CostSpec(1, 0.1)),
+                 (ReductionPlan(5, 4, tile_size=2), *args, spec)):
+        with pytest.raises(sd.InvalidInput, match="cost store"):
+            lse_rows(*call, store=store)
 
 
 def test_solve_within_the_cap_accounts_for_its_kept_costs():
@@ -214,9 +218,11 @@ def test_solve_within_the_cap_accounts_for_its_kept_costs():
     params = SolverParams(epsilon=0.1, p=2, max_iters=3)
     engine.reset_high_water()
     sinkhorn(alpha, beta, params)
-    # both directions are kept for the whole solve
-    assert engine.last_stats().peak_bytes > 2 * n * m * 8
-    assert engine.high_water()["peak_bytes"] == engine.last_stats().peak_bytes
+    # each call adds its own direction's kept blocks to what a plain call reports
+    kept = engine.last_stats().peak_bytes
+    lse_rows(ReductionPlan(n, m), beta.log_weights, np.zeros(m), beta.positions,
+             alpha.positions, params.cost_spec)
+    assert kept == engine.last_stats().peak_bytes + n * m * 8
     engine.reset_high_water()
     sinkhorn_symmetric(alpha, params)
     assert n * n * 8 < engine.high_water()["peak_bytes"] < 2 * n * n * 8
