@@ -93,9 +93,10 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
     """Integrate the particle flow and return its trajectory.
 
     With ``t_end == 0`` no step is taken and the trajectory holds the single
-    initial frame. If a step's evaluation fails with ``GradientUnreliable``
-    or ``NumericalFailure``, the exception is re-raised with the partial
-    trajectory attached as ``exc.trajectory``.
+    initial frame. A step whose loss value, force or new positions are not
+    finite raises ``NumericalFailure``. If a step fails with
+    ``GradientUnreliable`` or ``NumericalFailure``, the exception is
+    re-raised with the partial trajectory attached as ``exc.trajectory``.
     """
     if alpha0.dim != beta.dim:
         raise InvalidInput(f"dimension mismatch: {alpha0.dim} vs {beta.dim}")
@@ -119,22 +120,21 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
 
     snapshot(0)
     try:
-        for step in range(n_steps):
-            state = from_arrays(weights, x)
-            value, grad, warm = value_and_position_force(
-                config.loss, state, beta, params=config.params,
-                kernel=config.kernel, warm=warm,
-            )
+        # one evaluation per step plus one at the final state, which
+        # completes the curve; overflow is reported by the finiteness check
+        for step in range(n_steps + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, grad, warm = value_and_position_force(
+                    config.loss, from_arrays(weights, x), beta, params=config.params,
+                    kernel=config.kernel, warm=warm,
+                )
+                moved = x - config.dt * n * grad.d_positions
+            if not (np.isfinite(value) and np.all(np.isfinite(moved))):
+                raise NumericalFailure(f"non-finite loss value or force at step {step}")
             loss_curve.append((step * config.dt, value))
-            x = x - config.dt * n * grad.d_positions
-            snapshot(step + 1)
-        # value at the final state completes the curve
-        state = from_arrays(weights, x)
-        value, _, _ = value_and_position_force(
-            config.loss, state, beta, params=config.params,
-            kernel=config.kernel, warm=warm,
-        )
-        loss_curve.append((n_steps * config.dt, value))
+            if step < n_steps:
+                x = moved
+                snapshot(step + 1)
     except (GradientUnreliable, NumericalFailure) as exc:
         exc.trajectory = FlowTrajectory(frames=frames, loss_curve=loss_curve,
                                         config=config)

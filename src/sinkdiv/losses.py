@@ -85,11 +85,14 @@ class LossGradient:
 
 
 def _info(state) -> dict:
-    return {
+    info = {
         "iterations": state.iterations,
         "residual": state.residual,
         "converged": state.converged,
     }
+    if isinstance(state, DualState):
+        info["omega"] = state.omega
+    return info
 
 
 def _check_dims(alpha: DiscreteMeasure, beta: DiscreteMeasure):

@@ -14,9 +14,12 @@ matrix, and they guard its size.
 
 Two loops are provided:
 
-* :func:`sinkhorn` alternates exact coordinate updates ``g <- T(alpha, f)``,
-  ``f <- T(beta, g)`` and stops when the weighted L1 norm of the latest
-  ``f`` update falls below the tolerance.
+* :func:`sinkhorn` alternates the coordinate updates ``g <- T(alpha, f)``,
+  ``f <- T(beta, g)``. After ``WARM`` plain iterations it over-relaxes both
+  by a factor ``omega`` estimated from the residuals' contraction ratio,
+  ``x <- T + (1 - omega) (x - T)``, and falls back to a plain iteration
+  whenever a relaxed one would lower the dual objective. It stops when the
+  weighted L1 norm of the exact ``f`` update falls below the tolerance.
 * :func:`sinkhorn_symmetric` solves the self-transport problem of a single
   measure with the averaged update ``p <- (p + T(alpha, p)) / 2``, stopping
   on the max-norm residual of the un-averaged fixed-point condition. The
@@ -49,6 +52,8 @@ __all__ = [
 ]
 
 PLAN_ENTRY_GUARD = 1_000_000
+WARM = 5  # plain cross iterations before the relaxation factor is estimated
+OMEGA_MAX = 1.9  # cap on the over-relaxation factor
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,9 @@ class SolverParams:
     """Solver configuration: blur scale, cost exponent, and stopping rules.
 
     ``epsilon`` is in raw cost units. ``tol`` bounds the weighted L1 norm of
-    an ``f`` update in :func:`sinkhorn` and the max-norm fixed-point residual
-    in :func:`sinkhorn_symmetric`. Reaching ``max_iters`` is reported via
+    the exact ``f`` update ``T(beta, g) - f`` in :func:`sinkhorn` (relaxed
+    iterations included) and the max-norm fixed-point residual in
+    :func:`sinkhorn_symmetric`. Reaching ``max_iters`` is reported via
     ``converged=False`` on the result, never as an exception.
     """
 
@@ -88,7 +94,9 @@ class DualState:
 
     ``f`` lives on the source support, ``g`` on the target support. The dual
     objective value is recovered by :func:`dual_value`; potentials are only
-    determined up to the additive gauge ``(f + c, g - c)``.
+    determined up to the additive gauge ``(f + c, g - c)``. ``omega`` is the
+    over-relaxation factor of the iteration that produced the pair (1.0 for
+    a plain iteration).
     """
 
     f: np.ndarray
@@ -96,6 +104,7 @@ class DualState:
     iterations: int
     residual: float
     converged: bool
+    omega: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -125,19 +134,34 @@ def _plans(params: SolverParams, n: int, m: int) -> tuple[ReductionPlan, Reducti
     return f_plan, g_plan
 
 
+def _relaxation(q: float) -> float:
+    """Over-relaxation factor for plain iterations whose residuals contract
+    by the ratio ``q`` (capped at 1): ``min(OMEGA_MAX, 2 / (1 + sqrt(1 - q)))``."""
+    return min(OMEGA_MAX, 2.0 / (1.0 + float(np.sqrt(1.0 - min(q, 1.0)))))
+
+
 def sinkhorn(
     alpha: DiscreteMeasure,
     beta: DiscreteMeasure,
     params: SolverParams,
     init_f: np.ndarray | None = None,
 ) -> DualState:
-    """Alternating dual ascent for the transport between two measures.
+    """Safeguarded, over-relaxed dual ascent for the transport between two measures.
 
     Starts from ``f = g = 0`` unless ``init_f`` warm-starts the source
     potential (warm starts change only the gauge and the iteration count at
-    convergence). Each iteration performs an exact ``g`` update followed by
-    an exact ``f`` update; the loop stops once
-    ``sum_i alpha_i |f_new_i - f_i| <= tol``.
+    convergence). The first ``WARM`` iterations perform an exact ``g``
+    update followed by an exact ``f`` update. Then the ratio ``q`` of the
+    last two residuals sets ``omega = min(OMEGA_MAX, 2 / (1 + sqrt(1 - q)))``
+    and both half-steps are over-relaxed, ``g <- T + (1 - omega) (g - T)``
+    with ``T = T(alpha, f)``, and likewise for ``f``. A relaxed iteration
+    that would lower the dual objective of the reported pair is redone
+    plainly from the last accepted pair, and ``omega`` is estimated afresh;
+    redone iterations count toward ``iterations`` and ``max_iters``.
+
+    The reported pair is always ``(T(beta, g), g)``, so :func:`dual_value`
+    of it is the dual objective; the loop stops once
+    ``sum_i alpha_i |T(beta, g)_i - f_i| <= tol``.
     """
     if alpha.dim != beta.dim:
         raise InvalidInput(f"dimension mismatch: {alpha.dim} vs {beta.dim}")
@@ -160,22 +184,38 @@ def sinkhorn(
     g = np.zeros(m, dtype=np.float64)
     g_store = CostStore(g_plan, xs, ys, spec)
     f_store = CostStore(f_plan, ys, xs, spec)
-    iterations = 0
-    residual = np.inf
+    f_ok, g_ok, value = f, g, -np.inf  # the last accepted pair, f_ok = T(beta, g_ok)
+    omega, omega_ok, plain = 1.0, 1.0, 0
+    residual = previous = np.inf
     converged = False
     for iterations in range(1, params.max_iters + 1):
-        g = -eps * lse_rows(g_plan, log_a, f, xs, ys, spec, store=g_store)
+        t = -eps * lse_rows(g_plan, log_a, f, xs, ys, spec, store=g_store)
+        g = t if omega == 1.0 else t + (1.0 - omega) * (g - t)
         if not np.all(np.isfinite(g)):
             raise NumericalFailure("dual iterates became non-finite")
-        f_new = -eps * lse_rows(f_plan, log_b, g, ys, xs, spec, store=f_store)
-        if not np.all(np.isfinite(f_new)):
+        t = -eps * lse_rows(f_plan, log_b, g, ys, xs, spec, store=f_store)
+        if not np.all(np.isfinite(t)):
             raise NumericalFailure("dual iterates became non-finite")
-        residual = float(np.dot(alpha.weights, np.abs(f_new - f)))
-        f = f_new
+        if omega != 1.0:
+            new_value = dual_value(alpha, beta, t, g)
+            if new_value < value:  # no ascent: redo plainly from the accepted pair
+                f, g, omega, plain = f_ok, g_ok, 1.0, 0
+                continue
+            value = new_value
+        residual = float(np.dot(alpha.weights, np.abs(t - f)))
+        f_ok, g_ok, omega_ok = t, g, omega
         if residual <= params.tol:
             converged = True
             break
-    return DualState(f=f, g=g, iterations=iterations, residual=residual, converged=converged)
+        f = t if omega == 1.0 else t + (1.0 - omega) * (f - t)
+        if omega == 1.0:
+            plain += 1
+            if plain == WARM:
+                omega = _relaxation(residual / previous)
+                value = dual_value(alpha, beta, f_ok, g_ok)
+        previous = residual
+    return DualState(f=f_ok, g=g_ok, iterations=iterations, residual=residual,
+                     converged=converged, omega=omega_ok)
 
 
 def sinkhorn_symmetric(

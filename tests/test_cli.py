@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_unconverged_flow_exits_3(measure_files, tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
-def test_diverging_hausdorff_flow_exits_3(tmp_path, capsys):
+def _diverging_flow_exit_code(tmp_path, *options):
     rng = np.random.default_rng(4)
     paths = []
     for name, lo, hi in (("a.csv", 0.0, 0.2), ("b.csv", 0.6, 1.0)):
@@ -133,11 +134,22 @@ def test_diverging_hausdorff_flow_exits_3(tmp_path, capsys):
         path = tmp_path / name
         path.write_text("".join(f"0.05,{xi:.17g}\n" for xi in x), encoding="utf-8")
         paths.append(str(path))
-    code = main(["flow", *paths, "--loss", "hausdorff", "--eps", "0.1", "--p", "2",
-                 "--dt", "1e200", "--t-end", "3e200", "--threads", "1",
-                 "--out", str(tmp_path / "flow")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["flow", *paths, *options, "--dt", "1e200", "--t-end", "3e200",
+                     "--threads", "1", "--out", str(tmp_path / "flow")])
+
+
+def test_diverging_hausdorff_flow_exits_3(tmp_path, capsys):
+    code = _diverging_flow_exit_code(tmp_path, "--loss", "hausdorff", "--eps", "0.1",
+                                     "--p", "2")
     assert code == 3
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_diverging_mmd_flow_exits_3(tmp_path, capsys):
+    assert _diverging_flow_exit_code(tmp_path, "--loss", "mmd-energy") == 3
+    assert "numerical failure: non-finite" in capsys.readouterr().err
 
 
 def test_flow_writes_manifest_and_frames(measure_files, tmp_path, capsys):

@@ -4,6 +4,7 @@ serialization, and failure handling mid-flow."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -139,19 +140,33 @@ def test_failed_step_attaches_the_partial_trajectory():
     assert traj.config is config
 
 
-def test_diverging_hausdorff_flow_is_a_numerical_failure():
-    # a huge step throws the particles so far apart that the soft-minimum
-    # extensions of the self potentials are no longer finite: a numerical
-    # failure, not a fault of the input
+def _diverging_flow(loss, params=None):
+    # a huge step throws the particles so far apart that the loss is no
+    # longer finite: a numerical failure, not a fault of the input, raised
+    # without a RuntimeWarning from the overflow that caused it
     alpha, beta = _segment_pair(n=20)
-    config = FlowConfig(loss="hausdorff", params=sd.SolverParams(epsilon=0.1, p=2),
-                        dt=1e200, t_end=3e200)
-    with pytest.raises(sd.NumericalFailure, match="non-finite") as err:
-        run_flow(alpha, beta, config)
+    config = FlowConfig(loss=loss, params=params, dt=1e200, t_end=3e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sd.NumericalFailure, match="non-finite") as err:
+            run_flow(alpha, beta, config)
     traj = err.value.trajectory
     assert traj.config is config
     assert traj.frames[0][0] == 0.0
     assert np.array_equal(traj.frames[0][1], alpha.positions)
+    assert all(np.isfinite(v) for _, v in traj.loss_curve)
+    return traj
+
+
+def test_diverging_hausdorff_flow_is_a_numerical_failure():
+    _diverging_flow("hausdorff", sd.SolverParams(epsilon=0.1, p=2))
+
+
+def test_diverging_mmd_flow_is_a_numerical_failure():
+    traj = _diverging_flow("mmd-energy")
+    # the first step is finite; the second, from points near 1e200, is not
+    assert [t for t, _ in traj.loss_curve] == [0.0]
+    assert len(traj.frames) == 1
 
 
 def test_flow_config_validation():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sinkdiv as sd
-from sinkdiv import engine
+from sinkdiv import engine, solver
 from sinkdiv.engine import ReductionPlan, lse_rows
 from sinkdiv.measures import DiscreteMeasure
 from sinkdiv.solver import (
@@ -118,26 +118,123 @@ def test_symmetric_iteration_cap_reports_rather_than_raises():
 
 
 # ---------------------------------------------------------------------------
+# safeguarded over-relaxation of the cross solve
+# ---------------------------------------------------------------------------
+
+SMALL_BLUR = SolverParams(epsilon=1e-3, p=1, tol=1e-8, max_iters=50000)
+
+
+def _small_blur_pair():
+    """Criterion 4's problem from generator 203: 100 vs 100 atoms in 1D."""
+    rng = np.random.default_rng(203)
+    return random_measure(rng, 100, 1), random_measure(rng, 100, 1)
+
+
+@pytest.fixture(scope="module")
+def plain_small_blur_value():
+    alpha, beta = _small_blur_pair()
+    f, g, iterations, _, omega = _reference_sinkhorn(
+        alpha, beta, SMALL_BLUR, warm=SMALL_BLUR.max_iters + 1)
+    assert iterations > 1500 and omega == 1.0  # plain Sinkhorn needs 1,657
+    return dual_value(alpha, beta, f, g)
+
+
+def test_relaxation_cuts_small_blur_iterations_at_the_same_value(plain_small_blur_value):
+    alpha, beta = _small_blur_pair()
+    res = sinkhorn(alpha, beta, SMALL_BLUR)
+    assert res.converged and res.iterations <= 500 and res.omega > 1.0
+    value = dual_value(alpha, beta, res.f, res.g)
+    assert value == pytest.approx(plain_small_blur_value, abs=1e-10)
+
+
+def test_dual_value_never_falls_under_relaxation():
+    alpha, beta = _small_blur_pair()
+    values, omegas = [], []
+    for k in range(1, 81):
+        res = sinkhorn(alpha, beta, SolverParams(epsilon=1e-3, p=1, tol=0.0, max_iters=k))
+        values.append(dual_value(alpha, beta, res.f, res.g))
+        omegas.append(res.omega)
+    assert np.all(np.diff(values) >= 0.0)
+    assert omegas[:solver.WARM] == [1.0] * solver.WARM
+    assert min(omegas[solver.WARM:]) > 1.0
+
+
+def test_oversized_relaxation_is_redone_plainly(monkeypatch, plain_small_blur_value):
+    # omega = 3 overshoots; every relaxed iteration that loses dual ascent
+    # is redone as a plain one from the last accepted pair
+    alpha, beta = _small_blur_pair()
+    monkeypatch.setattr(solver, "_relaxation", lambda q: 3.0)
+    seen = []  # every dual value the solver computes, in order
+    monkeypatch.setattr(solver, "dual_value", lambda *a: seen.append(dual_value(*a)) or seen[-1])
+    values = []
+    for k in range(1, 41):
+        res = sinkhorn(alpha, beta, SolverParams(epsilon=1e-3, p=1, tol=0.0, max_iters=k))
+        values.append(dual_value(alpha, beta, res.f, res.g))
+    assert np.all(np.diff(values) >= 0.0)
+    seen.clear()
+    res = sinkhorn(alpha, beta, SMALL_BLUR)
+    assert np.any(np.diff(seen) < 0.0)  # some relaxed iterations were rejected
+    assert res.converged
+    value = dual_value(alpha, beta, res.f, res.g)
+    assert value == pytest.approx(plain_small_blur_value, abs=1e-10)
+
+
+def test_solves_within_warm_iterations_are_plain_sinkhorn():
+    alpha, beta = _small_blur_pair()
+    cases = [(alpha, beta, SolverParams(epsilon=1e-3, p=1, tol=0.0, max_iters=k))
+             for k in range(1, solver.WARM + 1)]
+    a, b, _ = random_pair(seed=0, max_n=30)
+    cases.append((a, b, SolverParams(epsilon=1.0, p=2, tol=1e-6)))
+    for alpha, beta, params in cases:
+        res = sinkhorn(alpha, beta, params)
+        assert res.iterations <= solver.WARM and res.omega == 1.0
+        f, g, iterations, residual, _ = _reference_sinkhorn(
+            alpha, beta, params, warm=params.max_iters + 1)
+        assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
+        assert (res.iterations, res.residual) == (iterations, residual)
+    assert res.converged
+
+
+# ---------------------------------------------------------------------------
 # kept cost blocks: the same bits as plain lse_rows calls, within the cap
 # ---------------------------------------------------------------------------
 
 
-def _reference_sinkhorn(alpha, beta, params):
-    """The cross solve as a loop of plain lse_rows calls, no cost store."""
+def _reference_sinkhorn(alpha, beta, params, warm=solver.WARM):
+    """The cross solve's safeguarded over-relaxation as a loop of plain
+    lse_rows calls, no cost store; ``warm > max_iters`` gives plain Sinkhorn."""
     spec, eps = params.cost_spec, params.epsilon
-    n, m = alpha.n_atoms, beta.n_atoms
     kw = dict(tile_size=params.tile_size, mode=params.mode, threads=params.threads)
-    f, g = np.zeros(n), np.zeros(m)
+
+    def soft_min(measure, potential, points):
+        plan = ReductionPlan(len(points), measure.n_atoms, **kw)
+        return -eps * lse_rows(plan, measure.log_weights, potential,
+                               measure.positions, points, spec)
+
+    def relax(t, x):
+        return t if omega == 1.0 else t + (1.0 - omega) * (x - t)
+
+    f, g = np.zeros(alpha.n_atoms), np.zeros(beta.n_atoms)
+    omega, plain = 1.0, []  # residuals of the plain iterations since the last (re)start
+    accepted = dict(f=f, g=g, value=-np.inf, residual=np.inf, omega=omega)
     for it in range(1, params.max_iters + 1):
-        g = -eps * lse_rows(ReductionPlan(m, n, **kw), alpha.log_weights, f,
-                            alpha.positions, beta.positions, spec)
-        f_new = -eps * lse_rows(ReductionPlan(n, m, **kw), beta.log_weights, g,
-                                beta.positions, alpha.positions, spec)
-        residual = float(np.dot(alpha.weights, np.abs(f_new - f)))
-        f = f_new
+        g = relax(soft_min(alpha, f, beta.positions), g)
+        t = soft_min(beta, g, alpha.positions)
+        value = dual_value(alpha, beta, t, g)
+        if omega != 1.0 and value < accepted["value"]:
+            f, g, omega, plain = accepted["f"], accepted["g"], 1.0, []
+            continue
+        residual = float(np.dot(alpha.weights, np.abs(t - f)))
+        accepted = dict(f=t, g=g, value=value, residual=residual, omega=omega)
         if residual <= params.tol:
             break
-    return f, g, it, residual
+        f = relax(t, f)
+        if omega == 1.0:
+            plain.append(residual)
+            if len(plain) == warm:
+                q = min(plain[-1] / plain[-2], 1.0)
+                omega = min(solver.OMEGA_MAX, 2.0 / (1.0 + np.sqrt(1.0 - q)))
+    return accepted["f"], accepted["g"], it, accepted["residual"], accepted["omega"]
 
 
 def _reference_symmetric(alpha, params):
@@ -182,10 +279,10 @@ def test_kept_costs_give_the_bits_of_plain_reductions(p, d, threads, mode, kept,
     finally:
         sys.setswitchinterval(interval)
     assert sum(built) == 2 * 90 * 70 * (1 if kept else res.iterations)
-    f, g, iterations, residual = _reference_sinkhorn(alpha, beta, params)
+    f, g, iterations, residual, omega = _reference_sinkhorn(alpha, beta, params)
     assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
-    assert (res.iterations, res.residual) == (iterations, residual)
-    assert iterations > 2
+    assert (res.iterations, res.residual, res.omega) == (iterations, residual, omega)
+    assert iterations > solver.WARM and omega > 1.0
     for measure in (alpha, beta):
         n = measure.n_atoms
         built.clear()
