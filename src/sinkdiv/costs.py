@@ -92,7 +92,8 @@ def mmd_kernel(kspec: MmdKernelSpec, x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Block evaluators (internal API used by the reduction engine)
+# Block evaluators: squared distances for the engine, dense costs for the
+# plan diagnostics and the oracles
 # ---------------------------------------------------------------------------
 
 
@@ -123,59 +124,3 @@ def cost_block(spec: CostSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Pairwise cost matrix block ``C(xs_i, ys_j)``."""
     sq = sq_dist_block(xs, ys)
     return np.sqrt(sq) if spec.p == 1 else sq
-
-
-def cost_grad_block(spec: CostSpec, xs: np.ndarray, ys: np.ndarray):
-    """Cost block plus its gradient in the first argument.
-
-    Returns ``(C, G)`` with ``C`` of shape (n, m) and ``G`` of shape
-    (n, m, d) holding the derivative of ``C(x_i, y_j)`` with respect to
-    ``x_i``. For ``p = 1`` the subgradient at coincident points is zero.
-    """
-    n, m, d = xs.shape[0], ys.shape[0], xs.shape[1]
-    diffs = np.empty((n, m, d), dtype=np.float64)
-    for k in range(d):
-        diffs[:, :, k] = xs[:, k, None] - ys[None, :, k]
-    sq = np.zeros((n, m), dtype=np.float64)
-    for k in range(d):
-        sq += diffs[:, :, k] * diffs[:, :, k]
-    if spec.p == 2:
-        return sq, 2.0 * diffs
-    dist = np.sqrt(sq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv = np.where(dist > 0.0, 1.0 / dist, 0.0)
-    return dist, diffs * inv[:, :, None]
-
-
-def kernel_block(kspec: MmdKernelSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Pairwise kernel matrix block ``k(xs_i, ys_j)``."""
-    sq = sq_dist_block(xs, ys)
-    if kspec.kind == "energy":
-        return -np.sqrt(sq)
-    if kspec.kind == "gaussian":
-        return np.exp(sq * (-0.5 / kspec.sigma**2))
-    return np.exp(np.sqrt(sq) * (-1.0 / kspec.sigma))
-
-
-def kernel_grad_block(kspec: MmdKernelSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Derivative of ``k(x_i, y_j)`` with respect to ``x_i``, shape (n, m, d).
-
-    Distance-based kernels use subgradient zero at coincident points.
-    """
-    n, m, d = xs.shape[0], ys.shape[0], xs.shape[1]
-    diffs = np.empty((n, m, d), dtype=np.float64)
-    for k in range(d):
-        diffs[:, :, k] = xs[:, k, None] - ys[None, :, k]
-    sq = np.zeros((n, m), dtype=np.float64)
-    for k in range(d):
-        sq += diffs[:, :, k] * diffs[:, :, k]
-    if kspec.kind == "gaussian":
-        scale = np.exp(sq * (-0.5 / kspec.sigma**2)) * (-1.0 / kspec.sigma**2)
-        return diffs * scale[:, :, None]
-    dist = np.sqrt(sq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv = np.where(dist > 0.0, 1.0 / dist, 0.0)
-    if kspec.kind == "energy":
-        return diffs * (-inv)[:, :, None]
-    scale = np.exp(dist * (-1.0 / kspec.sigma)) * (-1.0 / kspec.sigma) * inv
-    return diffs * scale[:, :, None]

@@ -17,9 +17,11 @@ Two loops are provided:
 * :func:`sinkhorn` alternates the coordinate updates ``g <- T(alpha, f)``,
   ``f <- T(beta, g)``. After ``WARM`` plain iterations it over-relaxes both
   by a factor ``omega`` estimated from the residuals' contraction ratio,
-  ``x <- T + (1 - omega) (x - T)``, and falls back to a plain iteration
-  whenever a relaxed one would lower the dual objective. It stops when the
-  weighted L1 norm of the exact ``f`` update falls below the tolerance.
+  ``x <- T + (1 - omega) (x - T)``, and raises ``omega`` every
+  ``RATE_WINDOW`` relaxed iterations from the plain rate that the relaxed
+  one implies. It falls back to a plain iteration whenever a relaxed one
+  would lower the dual objective. It stops when the weighted L1 norm of the
+  exact ``f`` update falls below the tolerance.
 * :func:`sinkhorn_symmetric` solves the self-transport problem of a single
   measure with the averaged update ``p <- (p + T(alpha, p)) / 2``, stopping
   on the max-norm residual of the un-averaged fixed-point condition. The
@@ -29,6 +31,7 @@ Two loops are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +56,8 @@ __all__ = [
 
 PLAN_ENTRY_GUARD = 1_000_000
 WARM = 5  # plain cross iterations before the relaxation factor is estimated
-OMEGA_MAX = 1.9  # cap on the over-relaxation factor
+OMEGA_MAX = 1.99  # cap on the over-relaxation factor
+RATE_WINDOW = 10  # accepted relaxed iterations per re-estimate of the factor
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,13 @@ def _plans(params: SolverParams, n: int, m: int) -> tuple[ReductionPlan, Reducti
 
 def _relaxation(q: float) -> float:
     """Over-relaxation factor for plain iterations whose residuals contract
-    by the ratio ``q`` (capped at 1): ``min(OMEGA_MAX, 2 / (1 + sqrt(1 - q)))``."""
+    by the ratio ``q`` (capped at 1): ``min(OMEGA_MAX, 2 / (1 + sqrt(1 - q)))``.
+
+    ``q`` is read from two plain residuals, or recovered from the rate ``r``
+    observed under a factor ``omega`` through the successive over-relaxation
+    relation ``q = (r + omega - 1)^2 / (r omega^2)`` (Young's; see Thibault et
+    al. 2017 and Lehmann et al. 2021 on over-relaxed Sinkhorn).
+    """
     return min(OMEGA_MAX, 2.0 / (1.0 + float(np.sqrt(1.0 - min(q, 1.0)))))
 
 
@@ -154,10 +164,16 @@ def sinkhorn(
     update followed by an exact ``f`` update. Then the ratio ``q`` of the
     last two residuals sets ``omega = min(OMEGA_MAX, 2 / (1 + sqrt(1 - q)))``
     and both half-steps are over-relaxed, ``g <- T + (1 - omega) (g - T)``
-    with ``T = T(alpha, f)``, and likewise for ``f``. A relaxed iteration
-    that would lower the dual objective of the reported pair is redone
-    plainly from the last accepted pair, and ``omega`` is estimated afresh;
-    redone iterations count toward ``iterations`` and ``max_iters``.
+    with ``T = T(alpha, f)``, and likewise for ``f``. After every
+    ``RATE_WINDOW`` accepted relaxed iterations, the geometric mean ``r`` of
+    their residual ratios gives back the plain rate
+    ``q = (r + omega - 1)^2 / (r omega^2)``, and ``omega`` rises to the
+    factor for that ``q`` if that is larger. A relaxed iteration that would
+    lower the dual objective of the reported pair is redone plainly from the
+    last accepted pair, and ``omega`` is estimated afresh after ``WARM`` more
+    plain iterations; redone iterations count toward ``iterations`` and
+    ``max_iters``. The factor depends only on residuals, so it is the same
+    at every thread count and in every reduction mode.
 
     The reported pair is always ``(T(beta, g), g)``, so :func:`dual_value`
     of it is the dual objective; the loop stops once
@@ -185,8 +201,8 @@ def sinkhorn(
     g_store = CostStore(g_plan, xs, ys, spec)
     f_store = CostStore(f_plan, ys, xs, spec)
     f_ok, g_ok, value = f, g, -np.inf  # the last accepted pair, f_ok = T(beta, g_ok)
-    omega, omega_ok, plain = 1.0, 1.0, 0
-    residual = previous = np.inf
+    omega, omega_ok, plain, relaxed = 1.0, 1.0, 0, 0
+    residual = previous = anchor = np.inf
     converged = False
     for iterations in range(1, params.max_iters + 1):
         t = -eps * lse_rows(g_plan, log_a, f, xs, ys, spec, store=g_store)
@@ -213,6 +229,17 @@ def sinkhorn(
             if plain == WARM:
                 omega = _relaxation(residual / previous)
                 value = dual_value(alpha, beta, f_ok, g_ok)
+                relaxed, anchor = 0, residual
+        else:
+            relaxed += 1
+            if relaxed == RATE_WINDOW:  # read the plain rate back from the relaxed one
+                # in exact arithmetic the estimate is never below omega: the
+                # recovered rate exceeds 4 (omega - 1) / omega^2, the rate that
+                # omega is optimal for, by (r - omega + 1)^2 / (r omega^2);
+                # max() keeps rounding from lowering it
+                r = (residual / anchor) ** (1.0 / RATE_WINDOW)
+                omega = max(omega, _relaxation((r + omega - 1.0) ** 2 / (r * omega * omega)))
+                relaxed, anchor = 0, residual
         previous = residual
     return DualState(f=f_ok, g=g_ok, iterations=iterations, residual=residual,
                      converged=converged, omega=omega_ok)
@@ -268,7 +295,9 @@ def dual_value(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     """Dual objective ``<alpha, f> + <beta, g>`` of a potential pair.
 
     At convergence this equals the entropy-regularized transport cost; it is
-    invariant under the gauge shift ``(f + c, g - c)``.
+    invariant under the gauge shift ``(f + c, g - c)``. The products are
+    summed with ``math.fsum``, so the value is their correctly rounded sum and
+    the solver's ascent check does not see rounding as a fall.
     """
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -277,7 +306,7 @@ def dual_value(alpha: DiscreteMeasure, beta: DiscreteMeasure,
             f"potential shapes {f.shape}/{g.shape} do not match supports "
             f"({alpha.n_atoms},)/({beta.n_atoms},)"
         )
-    return float(np.dot(alpha.weights, f) + np.dot(beta.weights, g))
+    return math.fsum(np.concatenate((alpha.weights * f, beta.weights * g)).tolist())
 
 
 def extend_potential(

@@ -6,12 +6,53 @@ import numpy as np
 import pytest
 
 import sinkdiv as sd
-from sinkdiv.costs import (
-    cost_block,
-    cost_grad_block,
-    kernel_block,
-    kernel_grad_block,
-)
+from sinkdiv.costs import CostSpec, MmdKernelSpec, cost_block, sq_dist_block
+
+
+# ---------------------------------------------------------------------------
+# dense block references: gradients in closed form, checked below against
+# finite differences and the scalar definitions
+# ---------------------------------------------------------------------------
+
+
+def _diffs(xs, ys):
+    """Differences ``x_i - y_j`` of shape (n, m, d), their distances, and the
+    inverse distances with 0 at coincident points (the zero subgradient)."""
+    diffs = xs[:, None, :] - ys[None, :, :]
+    dist = np.sqrt((diffs * diffs).sum(axis=-1))
+    with np.errstate(divide="ignore"):
+        inv = np.where(dist > 0.0, 1.0 / dist, 0.0)
+    return diffs, dist, inv
+
+
+def cost_grad_block(spec: CostSpec, xs, ys):
+    """``(C, G)``: the cost block and its derivative in ``x_i``, shape (n, m, d)."""
+    diffs, dist, inv = _diffs(xs, ys)
+    if spec.p == 2:
+        return dist * dist, 2.0 * diffs
+    return dist, diffs * inv[:, :, None]
+
+
+def kernel_block(kspec: MmdKernelSpec, xs, ys):
+    """Pairwise kernel block ``k(xs_i, ys_j)``."""
+    sq = sq_dist_block(xs, ys)
+    if kspec.kind == "energy":
+        return -np.sqrt(sq)
+    if kspec.kind == "gaussian":
+        return np.exp(sq * (-0.5 / kspec.sigma**2))
+    return np.exp(np.sqrt(sq) * (-1.0 / kspec.sigma))
+
+
+def kernel_grad_block(kspec: MmdKernelSpec, xs, ys):
+    """Derivative of ``k(x_i, y_j)`` in ``x_i``, shape (n, m, d)."""
+    diffs, dist, inv = _diffs(xs, ys)
+    if kspec.kind == "gaussian":
+        scale = np.exp(dist * dist * (-0.5 / kspec.sigma**2)) * (-1.0 / kspec.sigma**2)
+    elif kspec.kind == "energy":
+        scale = -inv
+    else:
+        scale = np.exp(dist * (-1.0 / kspec.sigma)) * (-1.0 / kspec.sigma) * inv
+    return diffs * scale[:, :, None]
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,13 @@ def test_dual_objective_ascends_iteration_by_iteration():
     assert np.all(diffs >= -1e-12)
 
 
+def test_dual_value_sums_without_rounding_the_partial_sums():
+    # <alpha, f> alone rounds 5e15 + 0.5 to 5e15; the exact total is 0.5
+    alpha = sd.from_arrays([0.5, 0.5], [[0.0], [1.0]])
+    beta = sd.from_arrays([1.0], [[0.5]])
+    assert dual_value(alpha, beta, np.array([1e16, 1.0]), np.array([-5e15])) == 0.5
+
+
 def test_iteration_cap_reports_rather_than_raises():
     alpha, beta, _ = random_pair(seed=43, max_n=40)
     res = sinkhorn(alpha, beta,
@@ -142,9 +149,24 @@ def plain_small_blur_value():
 def test_relaxation_cuts_small_blur_iterations_at_the_same_value(plain_small_blur_value):
     alpha, beta = _small_blur_pair()
     res = sinkhorn(alpha, beta, SMALL_BLUR)
-    assert res.converged and res.iterations <= 500 and res.omega > 1.0
+    assert res.converged and res.iterations <= 200 and res.omega > 1.0
     value = dual_value(alpha, beta, res.f, res.g)
     assert value == pytest.approx(plain_small_blur_value, abs=1e-10)
+
+
+def test_small_blur_divergences_stay_within_their_cross_budget():
+    # criterion 4's recipe; generator 2 is its slowest known draw
+    params = SolverParams(epsilon=1e-3, p=1, tol=1e-8, max_iters=2000)
+
+    def cross(seed):
+        rng = np.random.default_rng(seed)
+        alpha, beta = random_measure(rng, 100, 1), random_measure(rng, 100, 1)
+        info = sd.sinkhorn_divergence(alpha, beta, params).diagnostics["cross"]
+        assert info["converged"]
+        return info["iterations"]
+
+    assert sum(cross(seed) for seed in range(200, 210)) <= 3000
+    assert cross(2) <= 2000
 
 
 def test_dual_value_never_falls_under_relaxation():
@@ -156,7 +178,10 @@ def test_dual_value_never_falls_under_relaxation():
         omegas.append(res.omega)
     assert np.all(np.diff(values) >= 0.0)
     assert omegas[:solver.WARM] == [1.0] * solver.WARM
-    assert min(omegas[solver.WARM:]) > 1.0
+    # the first estimate relaxes; the rate re-estimates raise it within the cap
+    assert omegas[solver.WARM] > 1.0
+    assert max(omegas) > omegas[solver.WARM]
+    assert max(omegas) <= solver.OMEGA_MAX
 
 
 def test_oversized_relaxation_is_redone_plainly(monkeypatch, plain_small_blur_value):
@@ -200,9 +225,11 @@ def test_solves_within_warm_iterations_are_plain_sinkhorn():
 # ---------------------------------------------------------------------------
 
 
-def _reference_sinkhorn(alpha, beta, params, warm=solver.WARM):
+def _reference_sinkhorn(alpha, beta, params, warm=solver.WARM, tried=None):
     """The cross solve's safeguarded over-relaxation as a loop of plain
-    lse_rows calls, no cost store; ``warm > max_iters`` gives plain Sinkhorn."""
+    lse_rows calls, no cost store; ``warm > max_iters`` gives plain Sinkhorn.
+    ``tried``, a list, receives the factor of every iteration, redone ones
+    included."""
     spec, eps = params.cost_spec, params.epsilon
     kw = dict(tile_size=params.tile_size, mode=params.mode, threads=params.threads)
 
@@ -214,10 +241,16 @@ def _reference_sinkhorn(alpha, beta, params, warm=solver.WARM):
     def relax(t, x):
         return t if omega == 1.0 else t + (1.0 - omega) * (x - t)
 
+    def optimal(q):  # SOR factor for a plain contraction rate q
+        return min(solver.OMEGA_MAX, 2.0 / (1.0 + np.sqrt(1.0 - min(q, 1.0))))
+
+    tried = [] if tried is None else tried
     f, g = np.zeros(alpha.n_atoms), np.zeros(beta.n_atoms)
     omega, plain = 1.0, []  # residuals of the plain iterations since the last (re)start
+    relaxed = []  # residuals since omega was last set: the rate window's anchor first
     accepted = dict(f=f, g=g, value=-np.inf, residual=np.inf, omega=omega)
     for it in range(1, params.max_iters + 1):
+        tried.append(omega)
         g = relax(soft_min(alpha, f, beta.positions), g)
         t = soft_min(beta, g, alpha.positions)
         value = dual_value(alpha, beta, t, g)
@@ -232,8 +265,14 @@ def _reference_sinkhorn(alpha, beta, params, warm=solver.WARM):
         if omega == 1.0:
             plain.append(residual)
             if len(plain) == warm:
-                q = min(plain[-1] / plain[-2], 1.0)
-                omega = min(solver.OMEGA_MAX, 2.0 / (1.0 + np.sqrt(1.0 - q)))
+                omega, relaxed = optimal(plain[-1] / plain[-2]), [residual]
+        else:
+            relaxed.append(residual)
+            if len(relaxed) == solver.RATE_WINDOW + 1:
+                # the geometric mean of the window's ratios telescopes
+                r = (relaxed[-1] / relaxed[0]) ** (1.0 / solver.RATE_WINDOW)
+                omega = max(omega, optimal((r + omega - 1.0) ** 2 / (r * omega * omega)))
+                relaxed = [residual]
     return accepted["f"], accepted["g"], it, accepted["residual"], accepted["omega"]
 
 
@@ -252,6 +291,16 @@ def _reference_symmetric(alpha, params):
         p, it = 0.5 * (p + t), it + 1
 
 
+def _count_built_blocks(monkeypatch):
+    """The list that receives the pairs of every squared-distance block the
+    engine builds from here on."""
+    built = []
+    sq_dist_block = engine.sq_dist_block
+    monkeypatch.setattr(engine, "sq_dist_block", lambda xs, ys, **kw: (
+        built.append(len(xs) * len(ys)), sq_dist_block(xs, ys, **kw))[1])
+    return built
+
+
 @pytest.mark.parametrize("kept", [True, False])
 @pytest.mark.parametrize("mode", ["streaming", "dense"])
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -266,10 +315,7 @@ def test_kept_costs_give_the_bits_of_plain_reductions(p, d, threads, mode, kept,
     beta = random_measure(rng, 70, d)
     monkeypatch.setattr(engine, "PAIR_BUDGET", 1000)
     monkeypatch.setattr(engine, "CACHE_PAIRS", 90 * 90 if kept else 70 * 70 - 1)
-    built = []  # pairs of every squared-distance block the engine builds
-    sq_dist_block = engine.sq_dist_block
-    monkeypatch.setattr(engine, "sq_dist_block", lambda xs, ys, **kw: (
-        built.append(len(xs) * len(ys)), sq_dist_block(xs, ys, **kw))[1])
+    built = _count_built_blocks(monkeypatch)
     params = SolverParams(epsilon=0.1, p=p, tol=1e-10, max_iters=8,
                           symmetric_max_iters=8, tile_size=16, mode=mode, threads=threads)
     interval = sys.getswitchinterval()
@@ -292,6 +338,30 @@ def test_kept_costs_give_the_bits_of_plain_reductions(p, d, threads, mode, kept,
         assert np.array_equal(sym.potential, pot)
         assert (sym.iterations, sym.residual) == (iterations, residual)
         assert iterations > 2
+
+
+@pytest.mark.parametrize("kept", [True, False])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_raised_and_redone_relaxation_gives_the_bits_of_plain_reductions(threads, kept,
+                                                                          monkeypatch):
+    # the cold small-blur solve raises omega from its first estimates, to the
+    # cap and below it, and redoes relaxed iterations
+    alpha, beta = _small_blur_pair()
+    monkeypatch.setattr(engine, "PAIR_BUDGET", 1000)
+    monkeypatch.setattr(engine, "CACHE_PAIRS", 100 * 100 if kept else 100 * 100 - 1)
+    built = _count_built_blocks(monkeypatch)
+    params = SolverParams(epsilon=1e-3, p=1, tol=1e-8, max_iters=200, tile_size=16,
+                          threads=threads)
+    res = sinkhorn(alpha, beta, params)
+    assert res.converged
+    assert sum(built) == 2 * 100 * 100 * (1 if kept else res.iterations)
+    tried = []
+    f, g, iterations, residual, omega = _reference_sinkhorn(alpha, beta, params, tried=tried)
+    assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
+    assert (res.iterations, res.residual, res.omega) == (iterations, residual, omega)
+    relaxed = [w for w in tried if w != 1.0]
+    assert max(relaxed) > relaxed[0]
+    assert any(w != 1.0 and nxt == 1.0 for w, nxt in zip(tried, tried[1:]))
 
 
 def test_store_rejects_points_it_was_not_made_for():
