@@ -61,7 +61,6 @@ from .solver import (
     SolverParams,
     SymmetricDual,
     dual_value,
-    extend_potential,
     plan_diagnostics,
     plan_matrix,
     sinkhorn,
@@ -80,8 +79,8 @@ __all__ = [
     "DiscreteMeasure", "from_arrays", "load_csv", "save_csv", "load_json",
     "save_json", "sample_uniform_interval", "sample_unit_square",
     "SolverParams", "DualState", "SymmetricDual", "PlanDiagnostics",
-    "sinkhorn", "sinkhorn_symmetric", "dual_value", "extend_potential",
-    "plan_matrix", "plan_diagnostics",
+    "sinkhorn", "sinkhorn_symmetric", "dual_value", "plan_matrix",
+    "plan_diagnostics",
     "LossValue", "LossGradient", "ot_eps", "sinkhorn_divergence",
     "hausdorff_divergence", "mmd", "sinkhorn_gradient", "mmd_gradient",
     "FlowConfig", "FlowTrajectory", "run_flow", "write_trajectory",

@@ -36,14 +36,7 @@ from .errors import (
     TooLarge,
 )
 from .flows import FlowConfig, run_flow, write_trajectory
-from .losses import (
-    MMD_LOSSES,
-    OT_LOSSES,
-    hausdorff_divergence,
-    mmd,
-    ot_eps,
-    sinkhorn_divergence,
-)
+from .losses import MMD_LOSSES, OT_LOSSES, evaluate
 from .measures import load_csv, load_json, sample_unit_square
 from .solver import SolverParams
 
@@ -73,37 +66,23 @@ def _load_measure(path: str, fmt: str):
     return load_json(path) if fmt == "json" else load_csv(path)
 
 
-def _solver_params(args, threads: int) -> SolverParams:
+def _loss_options(args, threads: int) -> dict:
+    """The solver parameters or the kernel that ``args.loss`` needs, as the
+    ``params=`` or ``kernel=`` keyword of :func:`losses.evaluate`."""
+    if args.loss not in OT_LOSSES:
+        return {"kernel": MmdKernelSpec(kind=args.loss.split("-", 1)[1], sigma=args.sigma)}
     if args.eps is None:
         raise InvalidInput(f"--eps is required for loss {args.loss!r}")
-    return SolverParams(
-        epsilon=args.eps,
-        p=args.p,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        threads=threads,
-    )
+    return {"params": SolverParams(epsilon=args.eps, p=args.p, tol=args.tol,
+                                   max_iters=args.max_iters, threads=threads)}
 
 
-def _evaluate(loss: str, alpha, beta, args, threads: int):
-    if loss in OT_LOSSES:
-        fn = {
-            "ot_eps": ot_eps,
-            "sinkhorn": sinkhorn_divergence,
-            "hausdorff": hausdorff_divergence,
-        }[loss]
-        return fn(alpha, beta, _solver_params(args, threads))
-    kind = loss.split("-", 1)[1]
-    return mmd(alpha, beta, MmdKernelSpec(kind=kind, sigma=args.sigma), threads=threads)
-
-
-def _divergence_payload(loss: str, args, result) -> dict:
-    infos = result.diagnostics
+def _divergence_payload(loss: str, args, value: float, infos: dict) -> dict:
     residual = max((i["residual"] for i in infos.values()), default=None)
     converged = all(i["converged"] for i in infos.values())
     return {
         "loss": loss,
-        "value": result.value,
+        "value": value,
         "eps": args.eps if loss in OT_LOSSES else None,
         "p": args.p if loss in OT_LOSSES else None,
         "iterations": {k: i["iterations"] for k, i in infos.items()},
@@ -116,8 +95,9 @@ def cmd_divergence(args) -> int:
     threads = _resolve_threads(args.threads)
     alpha = _load_measure(args.measure_a, args.format)
     beta = _load_measure(args.measure_b, args.format)
-    result = _evaluate(args.loss, alpha, beta, args, threads)
-    payload = _divergence_payload(args.loss, args, result)
+    value, _, _, infos = evaluate(args.loss, alpha, beta, threads=threads,
+                                  **_loss_options(args, threads))
+    payload = _divergence_payload(args.loss, args, value, infos)
     print(json.dumps(payload, separators=(", ", ": ")))
     return 0
 
@@ -129,15 +109,9 @@ def cmd_flow(args) -> int:
     record = None
     if args.record is not None:
         record = tuple(float(tok) for tok in args.record.split(",") if tok.strip())
-    params = None
-    kernel = None
-    if args.loss in OT_LOSSES:
-        params = _solver_params(args, threads)
-    else:
-        kernel = MmdKernelSpec(kind=args.loss.split("-", 1)[1], sigma=args.sigma)
     config = FlowConfig(
-        loss=args.loss, params=params, kernel=kernel,
-        dt=args.dt, t_end=args.t_end, record_times=record, seed=args.seed,
+        loss=args.loss, dt=args.dt, t_end=args.t_end, record_times=record,
+        seed=args.seed, **_loss_options(args, threads),
     )
     traj = run_flow(alpha, beta, config)
     manifest = write_trajectory(traj, args.out)
@@ -150,6 +124,7 @@ def cmd_bench(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     if not sizes or any(n < 1 for n in sizes):
         raise InvalidInput(f"--sizes must list positive integers, got {args.sizes!r}")
+    options = _loss_options(args, threads)
     rows = ["n,loss,mean_seconds,std_seconds,peak_bytes_estimate"]
     for n in sizes:
         alpha = sample_unit_square(n, seed=args.seed)
@@ -158,7 +133,7 @@ def cmd_bench(args) -> int:
         times = []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            _evaluate(args.loss, alpha, beta, args, threads)
+            evaluate(args.loss, alpha, beta, threads=threads, **options)
             times.append(time.perf_counter() - t0)
         peak = engine.high_water()["peak_bytes"]
         rows.append(

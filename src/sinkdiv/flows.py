@@ -24,7 +24,7 @@ import numpy as np
 
 from .costs import MmdKernelSpec
 from .errors import GradientUnreliable, InvalidInput, IoError, NumericalFailure
-from .losses import MMD_LOSSES, OT_LOSSES, value_and_position_force
+from .losses import MMD_LOSSES, OT_LOSSES, evaluate
 from .measures import DiscreteMeasure, from_arrays
 from .solver import SolverParams
 
@@ -98,8 +98,6 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
     ``GradientUnreliable`` or ``NumericalFailure``, the exception is
     re-raised with the partial trajectory attached as ``exc.trajectory``.
     """
-    if alpha0.dim != beta.dim:
-        raise InvalidInput(f"dimension mismatch: {alpha0.dim} vs {beta.dim}")
     n = alpha0.n_atoms
     weights = alpha0.weights
     x = alpha0.positions.copy()
@@ -124,9 +122,9 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
         # completes the curve; overflow is reported by the finiteness check
         for step in range(n_steps + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                value, grad, warm = value_and_position_force(
+                value, grad, warm, _ = evaluate(
                     config.loss, from_arrays(weights, x), beta, params=config.params,
-                    kernel=config.kernel, warm=warm,
+                    kernel=config.kernel, warm=warm, want_grad=True,
                 )
                 moved = x - config.dt * n * grad.d_positions
             if not (np.isfinite(value) and np.all(np.isfinite(moved))):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec, cost_block
-from .engine import CostStore, ReductionPlan, lse_rows, softmin
+from .engine import CostStore, ReductionPlan, lse_rows
 from .errors import InvalidInput, NumericalFailure, TooLarge
 from .measures import DiscreteMeasure
 
@@ -49,7 +49,6 @@ __all__ = [
     "sinkhorn",
     "sinkhorn_symmetric",
     "dual_value",
-    "extend_potential",
     "plan_matrix",
     "plan_diagnostics",
 ]
@@ -307,24 +306,6 @@ def dual_value(alpha: DiscreteMeasure, beta: DiscreteMeasure,
             f"({alpha.n_atoms},)/({beta.n_atoms},)"
         )
     return math.fsum(np.concatenate((alpha.weights * f, beta.weights * g)).tolist())
-
-
-def extend_potential(
-    measure: DiscreteMeasure,
-    own_potential: np.ndarray,
-    spec: CostSpec,
-    query_points: np.ndarray,
-    plan: ReductionPlan | None = None,
-) -> np.ndarray:
-    """Evaluate the canonical soft-minimum extension of a potential.
-
-    Given a potential defined on the measure's own atoms, returns its value
-    at arbitrary query points via the same soft minimum that defines the
-    solver updates. At the fixed point, extending a symmetric potential onto
-    its own support reproduces the potential.
-    """
-    return softmin(measure, np.asarray(own_potential, dtype=np.float64), spec,
-                   query_points, plan=plan)
 
 
 def plan_matrix(

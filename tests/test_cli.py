@@ -53,6 +53,24 @@ def test_divergence_payload_shape_and_value(measure_files, capsys):
     assert payload["value"] == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("loss", ["ot_eps", "sinkhorn", "hausdorff", "mmd-energy",
+                                  "mmd-gaussian", "mmd-laplacian"])
+def test_divergence_value_is_the_library_value_bit_for_bit(measure_files, capsys, loss):
+    a, b = measure_files
+    assert main(["divergence", a, b, "--loss", loss, "--eps", "0.1", "--p", "1",
+                 "--sigma", "0.5", "--threads", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    alpha, beta = sd.load_csv(a), sd.load_csv(b)
+    if loss.startswith("mmd-"):
+        expect = sd.mmd(alpha, beta, sd.MmdKernelSpec(loss[4:], sigma=0.5))
+    else:
+        fn = {"ot_eps": sd.ot_eps, "sinkhorn": sd.sinkhorn_divergence,
+              "hausdorff": sd.hausdorff_divergence}[loss]
+        expect = fn(alpha, beta, sd.SolverParams(epsilon=0.1, p=1))
+    # JSON floats round-trip exactly
+    assert payload["value"] == expect.value
+
+
 def test_divergence_output_is_byte_identical_across_runs(measure_files, capsys):
     a, b = measure_files
     argv = ["divergence", a, b, "--loss", "hausdorff", "--eps", "0.05",

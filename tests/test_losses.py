@@ -2,11 +2,13 @@
 order relations between the divergences, agreement with the brute-force
 kernel oracle, and finite-difference verification of every gradient."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sinkdiv as sd
-from sinkdiv.losses import value_and_position_force
+from sinkdiv.losses import evaluate
 from sinkdiv.oracles import finite_diff_gradient, mmd_bruteforce
 
 from conftest import random_measure, random_pair
@@ -133,7 +135,7 @@ def test_debiased_gradient_matches_finite_differences():
 
 def test_raw_transport_gradient_matches_finite_differences():
     alpha, beta, _ = random_pair(seed=32, max_n=10)
-    _, grad, _ = value_and_position_force("ot_eps", alpha, beta, params=TIGHT)
+    _, grad, _, _ = evaluate("ot_eps", alpha, beta, params=TIGHT, want_grad=True)
 
     def loss_fn(a, b):
         return sd.ot_eps(a, b, TIGHT).value
@@ -181,8 +183,8 @@ def test_hausdorff_force_exact_on_point_masses():
     alpha = sd.from_arrays([1.0], [[1.0, 2.0]])
     beta = sd.from_arrays([1.0], [[4.0, 6.0]])
     params = sd.SolverParams(epsilon=0.3, p=2, tol=1e-13)
-    value, grad, _ = value_and_position_force("hausdorff", alpha, beta,
-                                              params=params)
+    value, grad, _, _ = evaluate("hausdorff", alpha, beta, params=params,
+                                 want_grad=True)
     assert value == pytest.approx(25.0, abs=1e-10)
     assert np.allclose(grad.d_positions[0], [-6.0, -8.0], atol=1e-10)
 
@@ -190,8 +192,8 @@ def test_hausdorff_force_exact_on_point_masses():
 def test_hausdorff_force_is_a_descent_direction():
     alpha, beta, _ = random_pair(seed=35, max_n=20, uniform_weights=True)
     params = sd.SolverParams(epsilon=0.1, p=2, tol=1e-12, max_iters=20000)
-    value, grad, _ = value_and_position_force("hausdorff", alpha, beta,
-                                              params=params)
+    value, grad, _, _ = evaluate("hausdorff", alpha, beta, params=params,
+                                 want_grad=True)
     step = 1e-3 / max(1.0, np.abs(grad.d_positions).max())
     moved = sd.from_arrays(alpha.weights,
                            alpha.positions - step * grad.d_positions)
@@ -200,28 +202,51 @@ def test_hausdorff_force_is_a_descent_direction():
 
 
 # ---------------------------------------------------------------------------
-# the combined value-and-force entry point
+# the one evaluation path: evaluate() against the public functions
 # ---------------------------------------------------------------------------
 
 
-def test_value_force_matches_standalone_evaluations():
+PUBLIC_VALUES = {"ot_eps": sd.ot_eps, "sinkhorn": sd.sinkhorn_divergence,
+                 "hausdorff": sd.hausdorff_divergence}
+WARM_KEYS = {"ot_eps": {"f"}, "sinkhorn": {"f", "p", "q"}, "hausdorff": {"p", "q"}}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("loss", ["ot_eps", "sinkhorn", "hausdorff", "mmd-energy",
+                                  "mmd-gaussian", "mmd-laplacian"])
+def test_value_force_matches_standalone_evaluations(loss, threads):
     alpha, beta, _ = random_pair(seed=36, max_n=16)
-    v, grad, warm = value_and_position_force("sinkhorn", alpha, beta,
-                                             params=TIGHT)
-    assert v == pytest.approx(sd.sinkhorn_divergence(alpha, beta, TIGHT).value,
-                              rel=1e-10, abs=1e-12)
-    standalone = sd.sinkhorn_gradient(alpha, beta, TIGHT)
-    assert np.allclose(grad.d_positions, standalone.d_positions, atol=1e-12)
-    assert set(warm) == {"f", "p", "q"}
+    if loss in PUBLIC_VALUES:
+        params = dataclasses.replace(TIGHT, threads=threads)
+        options = {"params": params}
+        value = PUBLIC_VALUES[loss](alpha, beta, params).value
+        standalone = sd.sinkhorn_gradient(alpha, beta, params) if loss == "sinkhorn" else None
+    else:
+        kernel = sd.MmdKernelSpec(loss.split("-")[1], sigma=0.6)
+        options = {"kernel": kernel, "threads": threads}
+        value = sd.mmd(alpha, beta, kernel, threads=threads).value
+        standalone = sd.mmd_gradient(alpha, beta, kernel)
+    v, grad, warm, _ = evaluate(loss, alpha, beta, want_grad=True, **options)
+    none, alone, _, _ = evaluate(loss, alpha, beta, want_value=False, want_grad=True,
+                                 **options)
+    assert v == value
+    assert none is None
+    for other in (alone, standalone):
+        if other is not None:
+            assert np.array_equal(grad.d_weights, other.d_weights)
+            assert np.array_equal(grad.d_positions, other.d_positions)
+    assert set(warm) == WARM_KEYS.get(loss, set())
+    if loss == "sinkhorn":  # the gradient alone solves no self-transport of beta
+        assert set(standalone.diagnostics) == {"cross", "alpha_auto"}
 
 
 def test_warm_potentials_round_trip_and_speed_up_the_next_solve():
     alpha, beta, _ = random_pair(seed=37, max_n=24)
     params = sd.SolverParams(epsilon=0.05, p=2, tol=1e-10, max_iters=20000)
-    _, grad0, warm = value_and_position_force("sinkhorn", alpha, beta,
-                                              params=params)
-    v1, grad1, _ = value_and_position_force("sinkhorn", alpha, beta,
-                                            params=params, warm=warm)
+    _, grad0, warm, _ = evaluate("sinkhorn", alpha, beta, params=params,
+                                 want_grad=True)
+    v1, grad1, _, _ = evaluate("sinkhorn", alpha, beta, params=params, warm=warm,
+                               want_grad=True)
     cold_iters = grad0.diagnostics["cross"]["iterations"]
     warm_iters = grad1.diagnostics["cross"]["iterations"]
     assert warm_iters <= cold_iters
@@ -245,12 +270,11 @@ def test_unreliable_gradient_carries_partial_result():
 def test_loss_dispatch_validation():
     alpha, beta, _ = random_pair(seed=39, max_n=6)
     with pytest.raises(sd.InvalidInput):
-        value_and_position_force("wasserstein", alpha, beta, params=TIGHT)
+        evaluate("wasserstein", alpha, beta, params=TIGHT)
     with pytest.raises(sd.InvalidInput):
-        value_and_position_force("sinkhorn", alpha, beta)  # no solver params
+        evaluate("sinkhorn", alpha, beta)  # no solver params
     with pytest.raises(sd.InvalidInput):
-        value_and_position_force("mmd-energy", alpha, beta,
-                                 kernel=sd.MmdKernelSpec("gaussian"))
+        evaluate("mmd-energy", alpha, beta, kernel=sd.MmdKernelSpec("gaussian"))
 
 
 def test_dimension_mismatch_rejected_by_losses():

@@ -9,12 +9,11 @@ import pytest
 
 import sinkdiv as sd
 from sinkdiv import engine, solver
-from sinkdiv.engine import ReductionPlan, lse_rows
+from sinkdiv.engine import ReductionPlan, lse_rows, softmin
 from sinkdiv.measures import DiscreteMeasure
 from sinkdiv.solver import (
     SolverParams,
     dual_value,
-    extend_potential,
     plan_diagnostics,
     plan_matrix,
     sinkhorn,
@@ -449,7 +448,7 @@ def test_extension_is_a_fixed_point_on_own_support():
     spec = sd.CostSpec(2, 0.2)
     sym = sinkhorn_symmetric(alpha, SolverParams(epsilon=0.2, p=2, tol=1e-13))
     assert sym.converged
-    ext = extend_potential(alpha, sym.potential, spec, alpha.positions)
+    ext = softmin(alpha, sym.potential, spec, alpha.positions)
     assert np.allclose(ext, sym.potential, atol=1e-12)
 
 
@@ -458,7 +457,7 @@ def test_extension_onto_partner_support_matches_partner_potential():
     params = SolverParams(epsilon=0.5, p=1, tol=1e-13, max_iters=20000)
     res = sinkhorn(alpha, beta, params)
     assert res.converged
-    ext = extend_potential(alpha, res.f, params.cost_spec, beta.positions)
+    ext = softmin(alpha, res.f, params.cost_spec, beta.positions)
     assert np.allclose(ext, res.g, atol=1e-10)
 
 
@@ -467,7 +466,7 @@ def test_extended_potential_is_cost_lipschitz(p, eps):
     alpha, _, _ = random_pair(seed=13, max_n=30, max_dim=1)
     sym = sinkhorn_symmetric(alpha, SolverParams(epsilon=eps, p=p, tol=1e-12))
     grid = np.linspace(-0.5, 1.5, 401).reshape(-1, 1)
-    vals = extend_potential(alpha, sym.potential, sd.CostSpec(p, eps), grid)
+    vals = softmin(alpha, sym.potential, sd.CostSpec(p, eps), grid)
     quotients = np.abs(np.diff(vals)) / np.diff(grid[:, 0])
     if p == 1:
         kappa = 1.0
