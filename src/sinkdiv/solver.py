@@ -23,10 +23,10 @@ Two loops are provided:
   would lower the dual objective. It stops when the weighted L1 norm of the
   exact ``f`` update falls below the tolerance.
 * :func:`sinkhorn_symmetric` solves the self-transport problem of a single
-  measure with the averaged update ``p <- (p + T(alpha, p)) / 2``, stopping
-  on the max-norm residual of the un-averaged fixed-point condition. The
-  averaging damps the oscillation of the plain alternating scheme, and a
-  handful of iterations reaches tight residuals for moderate blur.
+  measure with a gauge-free step on ``T(alpha, p) - p`` and a safeguarded
+  secant extrapolation, stopping on the max-norm residual of the fixed-point
+  condition ``p = T(alpha, p)``. It takes about half the updates of the
+  averaged ``p <- (p + T(alpha, p)) / 2`` of Feydy et al. (2019).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ PLAN_ENTRY_GUARD = 1_000_000
 WARM = 5  # plain cross iterations before the relaxation factor is estimated
 OMEGA_MAX = 1.99  # cap on the over-relaxation factor
 RATE_WINDOW = 10  # accepted relaxed iterations per re-estimate of the factor
+THETA = 2.0 / 3.0  # step size of the self-transport solve's gauge-free update
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,9 @@ class SolverParams:
         CostSpec(self.p, self.epsilon)  # validates p and epsilon
         if not np.isfinite(self.tol) or self.tol < 0:
             raise InvalidInput(f"tol must be nonnegative and finite, got {self.tol}")
-        if self.max_iters < 1 or self.symmetric_max_iters < 0:
-            raise InvalidInput("iteration limits must be positive")
+        for name, low in (("max_iters", 1), ("symmetric_max_iters", 0)):
+            if getattr(self, name) < low:
+                raise InvalidInput(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def cost_spec(self) -> CostSpec:
@@ -249,11 +251,20 @@ def sinkhorn_symmetric(
     params: SolverParams,
     init_potential: np.ndarray | None = None,
 ) -> SymmetricDual:
-    """Averaged fixed-point iteration for the self-transport potential.
+    """Extrapolated fixed-point iteration for the self-transport potential.
 
-    Runs ``p <- (p + T(alpha, p)) / 2`` starting from zero (or a warm start)
-    and stops when ``max_i |p_i - T(alpha, p)_i| <= tol``. The reported
-    iteration count is the number of averaged updates applied.
+    From zero (or a warm start) until ``max_i |p_i - T(alpha, p)_i| <= tol``:
+    with ``t = T(alpha, p)``, take the step ``s = THETA (t - p) + (1/2 - THETA)
+    <alpha, t - p>``. As ``T(alpha, p + c) = T(alpha, p) - c``, ``p + s`` is
+    the same for every gauge of ``p``, with the averaged update's fixed point.
+    Near it ``T`` acts as ``-pi``, the self plan's softmax, with spectrum in
+    [0, 1] and the constant mode at 1; the step removes that mode and maps the
+    others into [-1/3, 1/3]. While the residual falls, the secant of the last
+    two steps (one-step Anderson acceleration, Walker & Ni 2011) moves
+    ``x = p + s`` to ``x - gamma (x - x_prev)``, ``gamma = <alpha ds, s> /
+    <alpha ds, ds>`` with ``ds = s - s_prev``, unless the denominator is 0.
+    Only ``lse_rows`` outputs enter, so no thread count or mode moves a bit;
+    ``iterations`` counts the updates (0: the start's residual is reported).
     """
     spec = params.cost_spec
     eps = spec.epsilon
@@ -273,19 +284,23 @@ def sinkhorn_symmetric(
             raise InvalidInput("init_potential contains NaN or infinite entries")
 
     store = CostStore(plan, xs, xs, spec)
-    iterations = 0
+    iterations, previous, last = 0, np.inf, None  # last: the previous step and plain update
     while True:
         t = -eps * lse_rows(plan, log_a, p, xs, xs, spec, store=store)
         if not np.all(np.isfinite(t)):
             raise NumericalFailure("symmetric iterates became non-finite")
         residual = float(np.max(np.abs(p - t)))
-        if residual <= params.tol:
-            return SymmetricDual(potential=p, iterations=iterations,
-                                 residual=residual, converged=True)
-        if iterations >= params.symmetric_max_iters:
-            return SymmetricDual(potential=p, iterations=iterations,
-                                 residual=residual, converged=False)
-        p = 0.5 * (p + t)
+        if residual <= params.tol or iterations >= params.symmetric_max_iters:
+            return SymmetricDual(potential=p, iterations=iterations, residual=residual,
+                                 converged=residual <= params.tol)
+        step = THETA * (t - p) + (0.5 - THETA) * float(np.dot(alpha.weights, t - p))
+        p = plain = p + step
+        if last is not None and residual < previous:
+            ds = step - last[0]
+            den = float(np.dot(alpha.weights * ds, ds))
+            if den > 0.0:
+                p = plain - float(np.dot(alpha.weights * ds, step)) / den * (plain - last[1])
+        last, previous = (step, plain), residual
         iterations += 1
 
 

@@ -218,8 +218,9 @@ def test_criterion_07_self_transport_matches_variational_oracle():
 
 def test_criterion_08_iteration_budgets():
     with criterion(8, "iteration_budgets"):
-        # (a) the averaged self-transport iteration reaches max-norm 1e-6
-        #     within 20 updates across blur scales and sizes
+        # (a) the self-transport solve (gauge-free step with a secant
+        #     extrapolation) reaches max-norm 1e-6 within 20 updates across
+        #     blur scales and sizes
         idx = 0
         for eps in (0.05, 0.1, 0.3, 1.0):
             for n in (100, 500, 1000):

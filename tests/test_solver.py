@@ -123,6 +123,86 @@ def test_symmetric_iteration_cap_reports_rather_than_raises():
     assert res.iterations == 2
 
 
+def test_symmetric_zero_iteration_cap_evaluates_the_start_once():
+    alpha, _, _ = random_pair(seed=44, max_n=40)
+    res = sinkhorn_symmetric(alpha, SolverParams(epsilon=0.1, p=2, symmetric_max_iters=0))
+    assert res.iterations == 0 and not res.converged
+    assert np.array_equal(res.potential, np.zeros(alpha.n_atoms))
+    t = softmin(alpha, res.potential, sd.CostSpec(2, 0.1), alpha.positions)
+    assert res.residual == float(np.max(np.abs(t)))
+
+
+# ---------------------------------------------------------------------------
+# the self-transport solve's gauge-free step and secant extrapolation
+# ---------------------------------------------------------------------------
+
+
+def _workload_measures():
+    """The seed-1 inputs of perfbench's cloud-2d (800 points in the unit
+    square against a noisy ring, p = 2) and flow-1d (500 points on [0, 0.2]
+    against 500 on [0.6, 1], p = 1) workloads, with their solver settings."""
+    rng = np.random.default_rng([1, 1])
+    square = rng.uniform(0.0, 1.0, (800, 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi, 800)
+    radius = 0.3 + 0.02 * rng.standard_normal(800)
+    ring = np.c_[0.6 + radius * np.cos(theta), 0.5 + radius * np.sin(theta)]
+    cloud = SolverParams(epsilon=0.1, p=2, tol=1e-6)
+    rng = np.random.default_rng([1, 3])
+    left, right = rng.uniform(0.0, 0.2, (500, 1)), rng.uniform(0.6, 1.0, (500, 1))
+    line = SolverParams(epsilon=0.1, p=1, tol=1e-6, max_iters=2000)
+    return [(sd.from_arrays(np.full(len(x), 1.0 / len(x)), x), params)
+            for x, params in ((square, cloud), (ring, cloud), (left, line), (right, line))]
+
+
+def test_symmetric_solve_stays_within_its_iteration_budget():
+    # criterion 8(a)'s problems took 10-18 averaged updates
+    idx = 0
+    for eps in (0.05, 0.1, 0.3, 1.0):
+        for n in (100, 500, 1000):
+            rng = np.random.default_rng(900 + idx)
+            idx += 1
+            alpha = sd.from_arrays(np.full(n, 1.0 / n), rng.uniform(0, 1, (n, 2)))
+            res = sinkhorn_symmetric(alpha, SolverParams(epsilon=eps, p=1, tol=1e-6,
+                                                         symmetric_max_iters=30))
+            assert res.converged and res.iterations <= 10, (eps, n)
+    # the benchmark workloads' measures took 14-15
+    for alpha, params in _workload_measures():
+        res = sinkhorn_symmetric(alpha, params)
+        assert res.converged and res.iterations <= 8, alpha.n_atoms
+
+
+@pytest.mark.parametrize("shift", [0.25, -3.0])
+def test_symmetric_solve_ignores_the_gauge_of_its_warm_start(shift):
+    # warm-start alpha's solve from the potential of a nearby measure, as a flow does
+    rng = np.random.default_rng(45)
+    alpha = random_measure(rng, 60, 2)
+    moved = sd.from_arrays(alpha.weights, alpha.positions + 0.02 * rng.standard_normal((60, 2)))
+    params = SolverParams(epsilon=0.1, p=2, tol=1e-9)
+    start = sinkhorn_symmetric(moved, params).potential
+    plain = sinkhorn_symmetric(alpha, params, init_potential=start)
+    shifted = sinkhorn_symmetric(alpha, params, init_potential=start + shift)
+    assert plain.converged and shifted.converged
+    assert shifted.iterations <= plain.iterations + 1
+    assert np.max(np.abs(shifted.potential - plain.potential)) <= 10 * params.tol
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_symmetric_extrapolation_stays_at_rounding_level_once_converged(seed):
+    # tol = 0 keeps the solve iterating on rounding noise for 150 updates, where
+    # the residual stops falling and the safeguard takes plain steps
+    rng = np.random.default_rng(7000 + seed)
+    n, d, p = int(rng.integers(5, 120)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    alpha = random_measure(rng, n, d)
+    params = SolverParams(epsilon=float(10 ** rng.uniform(-2, 0)), p=p, tol=0.0,
+                          symmetric_max_iters=150)
+    res = sinkhorn_symmetric(alpha, params)
+    assert np.max(np.abs(res.potential)) <= 1.0
+    assert res.residual <= 1e-15
+    pot, iterations, residual = _reference_symmetric(alpha, params)
+    assert np.array_equal(res.potential, pot)
+    assert (res.iterations, res.residual) == (iterations, residual)
+
+
 # ---------------------------------------------------------------------------
 # safeguarded over-relaxation of the cross solve
 # ---------------------------------------------------------------------------
@@ -276,18 +356,30 @@ def _reference_sinkhorn(alpha, beta, params, warm=solver.WARM, tried=None):
 
 
 def _reference_symmetric(alpha, params):
-    """The averaged self-transport solve as a loop of plain lse_rows calls."""
-    n = alpha.n_atoms
+    """The self-transport solve's gauge-free step with its safeguarded secant
+    extrapolation, as a loop of plain lse_rows calls, no cost store."""
+    n, w, theta = alpha.n_atoms, alpha.weights, solver.THETA
     plan = ReductionPlan(n, n, tile_size=params.tile_size, mode=params.mode,
                          threads=params.threads)
     p, it = np.zeros(n), 0
+    steps, updates, residuals = [], [], []  # plain updates p + step
     while True:
         t = -params.epsilon * lse_rows(plan, alpha.log_weights, p, alpha.positions,
                                        alpha.positions, params.cost_spec)
         residual = float(np.max(np.abs(p - t)))
         if residual <= params.tol or it >= params.symmetric_max_iters:
             return p, it, residual
-        p, it = 0.5 * (p + t), it + 1
+        steps.append(theta * (t - p) + (0.5 - theta) * float(np.dot(w, t - p)))
+        updates.append(p + steps[-1])
+        p = updates[-1]
+        if residuals and residual < residuals[-1]:
+            ds = steps[-1] - steps[-2]
+            den = float(np.dot(w * ds, ds))
+            if den > 0.0:
+                gamma = float(np.dot(w * ds, steps[-1])) / den
+                p = updates[-1] - gamma * (updates[-1] - updates[-2])
+        residuals.append(residual)
+        it += 1
 
 
 def _count_built_blocks(monkeypatch):
@@ -546,5 +638,8 @@ def test_solver_params_validation():
         SolverParams(epsilon=1.0, p=3)
     with pytest.raises(sd.InvalidInput):
         SolverParams(epsilon=1.0, tol=-1.0)
-    with pytest.raises(sd.InvalidInput):
+    with pytest.raises(sd.InvalidInput, match=r"^max_iters must be >= 1, got 0"):
         SolverParams(epsilon=1.0, max_iters=0)
+    with pytest.raises(sd.InvalidInput, match=r"^symmetric_max_iters must be >= 0, got -1"):
+        SolverParams(epsilon=1.0, symmetric_max_iters=-1)
+    assert SolverParams(epsilon=1.0, symmetric_max_iters=0).symmetric_max_iters == 0
