@@ -10,7 +10,7 @@ costs, 8 bytes per pair and direction, so that each iteration skips
 rebuilding them.
 """
 
-from .costs import CostSpec, MmdKernelSpec, cost, gibbs_weight, mmd_kernel
+from .costs import CostSpec, MmdKernelSpec, cost, mmd_kernel
 from .engine import (
     ReductionPlan,
     ReductionStats,
@@ -70,7 +70,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostSpec", "MmdKernelSpec", "cost", "gibbs_weight", "mmd_kernel",
+    "CostSpec", "MmdKernelSpec", "cost", "mmd_kernel",
     "ReductionPlan", "ReductionStats", "last_stats", "high_water",
     "reset_high_water", "lse_rows", "lse_rows_with_grad", "kernel_rows",
     "kernel_grad_rows", "softmin", "soft_min",

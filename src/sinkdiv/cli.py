@@ -12,7 +12,9 @@ success (including non-converged solves, which are reported in the JSON),
 2 for invalid inputs or files, 3 for numerical failures.
 
 Worker threads default to the ``SINKDIV_THREADS`` environment variable,
-falling back to the host CPU count.
+falling back to the host CPU count. ``flow`` with an ``mmd-*`` loss runs on
+one thread whatever the count: the count reaches a flow only inside the
+transport losses' solver parameters.
 """
 
 from __future__ import annotations
@@ -26,15 +28,7 @@ from statistics import mean, pstdev
 
 from . import engine
 from .costs import MmdKernelSpec
-from .errors import (
-    DegenerateMeasure,
-    FormatError,
-    GradientUnreliable,
-    InvalidInput,
-    IoError,
-    NumericalFailure,
-    TooLarge,
-)
+from .errors import InvalidInput, SinkdivError
 from .flows import FlowConfig, run_flow, write_trajectory
 from .losses import MMD_LOSSES, OT_LOSSES, evaluate
 from .measures import load_csv, load_json, sample_unit_square
@@ -58,6 +52,14 @@ def _resolve_threads(value: int | None) -> int:
             raise InvalidInput(f"SINKDIV_THREADS must be >= 1, got {parsed}")
         return parsed
     return os.cpu_count() or 1
+
+
+def _numbers(text: str, kind, option: str) -> list:
+    """The comma-separated entries of ``option``'s ``text``, parsed by ``kind``."""
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InvalidInput(f"{option} must list comma-separated numbers, got {text!r}") from exc
 
 
 def _load_measure(path: str, fmt: str):
@@ -106,9 +108,7 @@ def cmd_flow(args) -> int:
     threads = _resolve_threads(args.threads)
     alpha = _load_measure(args.measure_a, args.format)
     beta = _load_measure(args.measure_b, args.format)
-    record = None
-    if args.record is not None:
-        record = tuple(float(tok) for tok in args.record.split(",") if tok.strip())
+    record = None if args.record is None else tuple(_numbers(args.record, float, "--record"))
     config = FlowConfig(
         loss=args.loss, dt=args.dt, t_end=args.t_end, record_times=record,
         seed=args.seed, **_loss_options(args, threads),
@@ -121,9 +121,11 @@ def cmd_flow(args) -> int:
 
 def cmd_bench(args) -> int:
     threads = _resolve_threads(args.threads)
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    sizes = _numbers(args.sizes, int, "--sizes")
     if not sizes or any(n < 1 for n in sizes):
         raise InvalidInput(f"--sizes must list positive integers, got {args.sizes!r}")
+    if args.repeats < 1:
+        raise InvalidInput(f"--repeats must be >= 1, got {args.repeats}")
     options = _loss_options(args, threads)
     rows = ["n,loss,mean_seconds,std_seconds,peak_bytes_estimate"]
     for n in sizes:
@@ -167,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-iters", type=int, default=1000)
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: SINKDIV_THREADS or CPU count)")
+                       help="worker threads (default: SINKDIV_THREADS or CPU count); "
+                            "flow with an mmd-* loss runs on one thread")
 
     p_div = sub.add_parser("divergence", help="print a divergence value as JSON")
     add_common(p_div)
@@ -199,12 +202,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidInput, DegenerateMeasure, FormatError, IoError, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalFailure, GradientUnreliable) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except SinkdivError as exc:
+        prefix = "numerical failure" if exc.exit_code == 3 else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = ["CostSpec", "MmdKernelSpec", "cost", "mmd_kernel", "gibbs_weight"]
+__all__ = ["CostSpec", "MmdKernelSpec", "cost", "mmd_kernel"]
 
 KERNEL_KINDS = ("energy", "gaussian", "laplacian")
 
@@ -73,11 +73,6 @@ def cost(spec: CostSpec, x, y) -> float:
     xv, yv = _check_pair(x, y)
     sq = float(np.dot(xv - yv, xv - yv))
     return np.sqrt(sq) if spec.p == 1 else sq
-
-
-def gibbs_weight(spec: CostSpec, x, y) -> float:
-    """Gibbs kernel value ``exp(-C(x, y) / epsilon)``."""
-    return float(np.exp(-cost(spec, x, y) / spec.epsilon))
 
 
 def mmd_kernel(kspec: MmdKernelSpec, x, y) -> float:

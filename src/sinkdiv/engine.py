@@ -425,7 +425,7 @@ def kernel_grad_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarr
 
 
 def softmin(measure: DiscreteMeasure, phi: np.ndarray, spec: CostSpec,
-            query_points: np.ndarray, plan: ReductionPlan | None = None) -> np.ndarray:
+            query_points: np.ndarray) -> np.ndarray:
     """Smoothed minimum of ``C(., y) - phi(.)`` over the measure's support.
 
     For each query ``y`` this evaluates
@@ -438,8 +438,7 @@ def softmin(measure: DiscreteMeasure, phi: np.ndarray, spec: CostSpec,
     queries = np.asarray(query_points, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries[:, None]
-    if plan is None:
-        plan = ReductionPlan(n_rows=queries.shape[0], n_cols=measure.n_atoms)
+    plan = ReductionPlan(n_rows=queries.shape[0], n_cols=measure.n_atoms)
     phi = _check_vector("phi", phi, measure.n_atoms)
     return -spec.epsilon * lse_rows(plan, measure.log_weights, phi, measure.positions,
                                     queries, spec)

@@ -2,7 +2,9 @@
 
 All library errors derive from :class:`SinkdivError` so callers can catch one
 base class. Input-related errors additionally subclass the matching builtin
-(``ValueError`` / ``OSError``) to stay idiomatic.
+(``ValueError`` / ``OSError``) to stay idiomatic. Each class carries the
+command-line exit code of its kind of failure: 2 when the input is at fault,
+3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 class SinkdivError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class InvalidInput(SinkdivError, ValueError):
@@ -36,6 +40,8 @@ class TooLarge(SinkdivError, ValueError):
 class NumericalFailure(SinkdivError, ArithmeticError):
     """An iteration produced non-finite values and cannot continue."""
 
+    exit_code = 3
+
 
 class GradientUnreliable(SinkdivError):
     """A gradient was requested from a solver state that did not converge.
@@ -43,6 +49,8 @@ class GradientUnreliable(SinkdivError):
     The partially computed gradient (when available) is attached as
     ``partial`` so callers can inspect or salvage it.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)

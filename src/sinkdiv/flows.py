@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .costs import MmdKernelSpec
 from .errors import GradientUnreliable, InvalidInput, IoError, NumericalFailure
 from .losses import MMD_LOSSES, OT_LOSSES, evaluate
-from .measures import DiscreteMeasure, from_arrays
+from .measures import DiscreteMeasure, _csv_text, _write_text, from_arrays
 from .solver import SolverParams
 
 __all__ = ["FlowConfig", "FlowTrajectory", "run_flow", "write_trajectory"]
@@ -149,19 +149,14 @@ def _config_payload(config: FlowConfig) -> dict:
         "seed": config.seed,
     }
     if config.params is not None:
-        payload["params"] = {
-            "epsilon": config.params.epsilon,
-            "p": config.params.p,
-            "tol": config.params.tol,
-            "max_iters": config.params.max_iters,
-            "symmetric_max_iters": config.params.symmetric_max_iters,
-        }
+        payload["params"] = {name: getattr(config.params, name) for name in
+                             ("epsilon", "p", "tol", "max_iters", "symmetric_max_iters")}
     if config.kernel is not None:
-        payload["kernel"] = {"kind": config.kernel.kind, "sigma": config.kernel.sigma}
+        payload["kernel"] = asdict(config.kernel)
     return payload
 
 
-def write_trajectory(traj: FlowTrajectory, out_dir, stem: str = "frame") -> str:
+def write_trajectory(traj: FlowTrajectory, out_dir) -> str:
     """Write one CSV per frame plus a JSON manifest; returns the manifest path.
 
     Frame rows are ``t,x1,...,xD``. The manifest lists the configuration,
@@ -173,17 +168,8 @@ def write_trajectory(traj: FlowTrajectory, out_dir, stem: str = "frame") -> str:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     entries = []
     for idx, (t, pos) in enumerate(traj.frames):
-        name = f"{stem}_{idx:03d}.csv"
-        lines = [
-            ",".join([format(t, ".17g")] + [format(c, ".17g") for c in row])
-            for row in pos
-        ]
-        path = os.path.join(out_dir, name)
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+        name = f"frame_{idx:03d}.csv"
+        _write_text(os.path.join(out_dir, name), _csv_text([t] * len(pos), pos))
         entries.append({"time": t, "file": name})
     manifest = {
         "config": _config_payload(traj.config) if traj.config else {},
@@ -191,10 +177,5 @@ def write_trajectory(traj: FlowTrajectory, out_dir, stem: str = "frame") -> str:
         "loss_curve": [[t, v] for t, v in traj.loss_curve],
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    try:
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {manifest_path}: {exc}") from exc
+    _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path

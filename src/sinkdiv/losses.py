@@ -112,18 +112,13 @@ def _require_finite(**arrays):
         raise NumericalFailure(f"non-finite internal values: {', '.join(bad)}")
 
 
-def _plan(params: SolverParams, n_rows: int, n_cols: int) -> ReductionPlan:
-    return ReductionPlan(n_rows=n_rows, n_cols=n_cols, tile_size=params.tile_size,
-                         mode=params.mode, threads=params.threads)
-
-
 def _extension(params: SolverParams, source: DiscreteMeasure, potential: np.ndarray,
                target: DiscreteMeasure, grad: bool = False):
     """Row log-sums of the soft-minimum extension ``T(source, potential)`` at
     ``target``'s points (``T = -eps * lse``), with their gradient in those
     points when ``grad`` is set."""
     reduce = lse_rows_with_grad if grad else lse_rows
-    return reduce(_plan(params, target.n_atoms, source.n_atoms), source.log_weights,
+    return reduce(params.plan(target.n_atoms, source.n_atoms), source.log_weights,
                   potential, source.positions, target.positions, params.cost_spec)
 
 
@@ -257,11 +252,11 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
         # Column-side terms: how moving atom x_i changes T(alpha, p) at each
         # evaluation point z, weighted by the measure sitting at z.
         col_on_a = exp_grad_rows(
-            _plan(params, n, n), alpha.log_weights - lse_p_on_a, p,
+            params.plan(n, n), alpha.log_weights - lse_p_on_a, p,
             alpha.positions, alpha.positions, spec,
         )
         col_on_b = exp_grad_rows(
-            _plan(params, n, m), beta.log_weights - lse_p_on_b, p,
+            params.plan(n, m), beta.log_weights - lse_p_on_b, p,
             beta.positions, alpha.positions, spec,
         )
         force = 0.5 * alpha.weights[:, None] * (

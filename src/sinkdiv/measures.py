@@ -125,16 +125,34 @@ def _parse_rows(rows: list[list[str]], source: str) -> DiscreteMeasure:
     return from_arrays(arr[:, 0], arr[:, 1:])
 
 
-def load_csv(path) -> DiscreteMeasure:
-    """Read a measure from CSV rows ``w,x1,...,xD`` (optional header)."""
+def _read_text(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _csv_text(first_column, positions) -> str:
+    """Rows ``c,x1,...,xD`` of the two columns' entries, in full float64
+    round-trip precision."""
+    return "".join(",".join(format(v, ".17g") for v in (c, *row)) + "\n"
+                   for c, row in zip(first_column, positions))
+
+
+def load_csv(path) -> DiscreteMeasure:
+    """Read a measure from CSV rows ``w,x1,...,xD`` (optional header)."""
     rows = [
         [tok.strip() for tok in line.split(",")]
-        for line in text.splitlines()
+        for line in _read_text(path).splitlines()
         if line.strip()
     ]
     return _parse_rows(rows, str(path))
@@ -142,26 +160,13 @@ def load_csv(path) -> DiscreteMeasure:
 
 def save_csv(measure: DiscreteMeasure, path) -> None:
     """Write ``w,x1,...,xD`` rows with full float64 round-trip precision."""
-    lines = []
-    for w, pos in zip(measure.weights, measure.positions):
-        fields = [format(w, ".17g")] + [format(c, ".17g") for c in pos]
-        lines.append(",".join(fields))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_text(path, _csv_text(measure.weights, measure.positions))
 
 
 def load_json(path) -> DiscreteMeasure:
     """Read a measure from ``{"weights": [...], "positions": [[...], ...]}``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "weights" not in payload or "positions" not in payload:
@@ -179,12 +184,7 @@ def save_json(measure: DiscreteMeasure, path) -> None:
         "weights": measure.weights.tolist(),
         "positions": measure.positions.tolist(),
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_text(path, json.dumps(payload) + "\n")
 
 
 def sample_uniform_interval(n: int, lo: float, hi: float, seed=None) -> DiscreteMeasure:

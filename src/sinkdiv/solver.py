@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec, cost_block
-from .engine import CostStore, ReductionPlan, lse_rows
+from .engine import CostStore, ReductionPlan, _check_vector, lse_rows
 from .errors import InvalidInput, NumericalFailure, TooLarge
 from .measures import DiscreteMeasure
 
@@ -92,6 +92,12 @@ class SolverParams:
     def cost_spec(self) -> CostSpec:
         return CostSpec(self.p, self.epsilon)
 
+    def plan(self, n_rows: int, n_cols: int) -> ReductionPlan:
+        """The plan of an ``n_rows x n_cols`` reduction with these tiling,
+        mode and thread settings."""
+        return ReductionPlan(n_rows=n_rows, n_cols=n_cols, tile_size=self.tile_size,
+                             mode=self.mode, threads=self.threads)
+
 
 @dataclass(frozen=True)
 class DualState:
@@ -131,12 +137,9 @@ class PlanDiagnostics:
     marginal_err_l1: float
 
 
-def _plans(params: SolverParams, n: int, m: int) -> tuple[ReductionPlan, ReductionPlan]:
-    f_plan = ReductionPlan(n_rows=n, n_cols=m, tile_size=params.tile_size,
-                           mode=params.mode, threads=params.threads)
-    g_plan = ReductionPlan(n_rows=m, n_cols=n, tile_size=params.tile_size,
-                           mode=params.mode, threads=params.threads)
-    return f_plan, g_plan
+def _start(init, name: str, n: int) -> np.ndarray:
+    """A copy of the validated warm start ``init`` of length ``n``, or zeros."""
+    return np.zeros(n) if init is None else _check_vector(name, init, n).copy()
 
 
 def _relaxation(q: float) -> float:
@@ -185,19 +188,11 @@ def sinkhorn(
     spec = params.cost_spec
     eps = spec.epsilon
     n, m = alpha.n_atoms, beta.n_atoms
-    f_plan, g_plan = _plans(params, n, m)
+    f_plan, g_plan = params.plan(n, m), params.plan(m, n)
     log_a, log_b = alpha.log_weights, beta.log_weights
     xs, ys = alpha.positions, beta.positions
 
-    if init_f is None:
-        f = np.zeros(n, dtype=np.float64)
-    else:
-        f = np.array(init_f, dtype=np.float64, copy=True)
-        if f.shape != (n,):
-            raise InvalidInput(f"init_f must have shape ({n},), got {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise InvalidInput("init_f contains NaN or infinite entries")
-
+    f = _start(init_f, "init_f", n)
     g = np.zeros(m, dtype=np.float64)
     g_store = CostStore(g_plan, xs, ys, spec)
     f_store = CostStore(f_plan, ys, xs, spec)
@@ -269,20 +264,10 @@ def sinkhorn_symmetric(
     spec = params.cost_spec
     eps = spec.epsilon
     n = alpha.n_atoms
-    plan = ReductionPlan(n_rows=n, n_cols=n, tile_size=params.tile_size,
-                         mode=params.mode, threads=params.threads)
+    plan = params.plan(n, n)
     log_a = alpha.log_weights
     xs = alpha.positions
-
-    if init_potential is None:
-        p = np.zeros(n, dtype=np.float64)
-    else:
-        p = np.array(init_potential, dtype=np.float64, copy=True)
-        if p.shape != (n,):
-            raise InvalidInput(f"init_potential must have shape ({n},), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InvalidInput("init_potential contains NaN or infinite entries")
-
+    p = _start(init_potential, "init_potential", n)
     store = CostStore(plan, xs, xs, spec)
     iterations, previous, last = 0, np.inf, None  # last: the previous step and plain update
     while True:
@@ -323,6 +308,24 @@ def dual_value(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     return math.fsum(np.concatenate((alpha.weights * f, beta.weights * g)).tolist())
 
 
+def _dense_plan(alpha: DiscreteMeasure, beta: DiscreteMeasure, f, g, spec: CostSpec,
+                max_entries: int, what: str):
+    """Dense cost ``C``, exponent ``z = (f_i + g_j - C_ij) / eps``, product
+    weights ``alpha_i beta_j`` and plan ``pi = alpha_i beta_j exp(z)``;
+    ``what`` names the result in the error beyond ``max_entries`` entries."""
+    n, m = alpha.n_atoms, beta.n_atoms
+    if n * m > max_entries:
+        raise TooLarge(f"{what} would hold {n * m} entries (limit {max_entries})")
+    f = np.asarray(f, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if f.shape != (n,) or g.shape != (m,):
+        raise InvalidInput("potential shapes do not match supports")
+    c = cost_block(spec, alpha.positions, beta.positions)
+    z = (f[:, None] + g[None, :] - c) / spec.epsilon
+    ab = alpha.weights[:, None] * beta.weights[None, :]
+    return c, z, ab, ab * np.exp(z)
+
+
 def plan_matrix(
     alpha: DiscreteMeasure,
     beta: DiscreteMeasure,
@@ -336,16 +339,7 @@ def plan_matrix(
     ``pi_ij = alpha_i beta_j exp((f_i + g_j - C_ij) / eps)``. Guarded by
     ``max_entries`` because the result is a dense ``n x m`` array.
     """
-    n, m = alpha.n_atoms, beta.n_atoms
-    if n * m > max_entries:
-        raise TooLarge(f"plan would hold {n * m} entries (limit {max_entries})")
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f.shape != (n,) or g.shape != (m,):
-        raise InvalidInput("potential shapes do not match supports")
-    c = cost_block(spec, alpha.positions, beta.positions)
-    z = (f[:, None] + g[None, :] - c) / spec.epsilon
-    return alpha.weights[:, None] * beta.weights[None, :] * np.exp(z)
+    return _dense_plan(alpha, beta, f, g, spec, max_entries, "plan")[3]
 
 
 def plan_diagnostics(
@@ -363,17 +357,7 @@ def plan_diagnostics(
     ``psi(r) = r log r - r + 1`` evaluated stably on log-scale ratios; and
     ``marginal_err_l1`` is the total L1 violation of both marginals.
     """
-    n, m = alpha.n_atoms, beta.n_atoms
-    if n * m > max_entries:
-        raise TooLarge(f"diagnostics would hold {n * m} entries (limit {max_entries})")
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f.shape != (n,) or g.shape != (m,):
-        raise InvalidInput("potential shapes do not match supports")
-    c = cost_block(spec, alpha.positions, beta.positions)
-    z = (f[:, None] + g[None, :] - c) / spec.epsilon
-    ab = alpha.weights[:, None] * beta.weights[None, :]
-    pi = ab * np.exp(z)
+    c, z, ab, pi = _dense_plan(alpha, beta, f, g, spec, max_entries, "diagnostics")
     transport_cost = float(np.sum(pi * c))
     # psi(exp(z)) = z exp(z) - expm1(z), accurate near z = 0 and nonnegative
     kl = float(np.sum(ab * (z * np.exp(z) - np.expm1(z))))

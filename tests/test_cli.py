@@ -210,6 +210,36 @@ def test_bench_rejects_bad_sizes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, option", [
+    (["bench", "--sizes", "16", "--repeats", "0"], "--repeats"),
+    (["bench", "--sizes", "x"], "--sizes"),
+    (["flow", "--record", "0,zz"], "--record"),
+])
+def test_malformed_number_options_exit_2(measure_files, tmp_path, capsys, command, option):
+    if command[0] == "flow":
+        command = command + [*measure_files, "--out", str(tmp_path / "flow")]
+    assert main([*command, "--loss", "mmd-energy", "--threads", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option}")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (sd.InvalidInput, 2, "error"),
+    (sd.DegenerateMeasure, 2, "error"),
+    (sd.FormatError, 2, "error"),
+    (sd.IoError, 2, "error"),
+    (sd.TooLarge, 2, "error"),
+    (sd.NumericalFailure, 3, "numerical failure"),
+    (sd.GradientUnreliable, 3, "numerical failure"),
+])
+def test_each_error_class_has_its_exit_code(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr("sinkdiv.cli.cmd_divergence", fail)
+    assert main(["divergence", "a.csv", "b.csv"]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
 @pytest.fixture
 def installed_script(tmp_path):
     """Install this checkout under ``tmp_path`` with setuptools' own

@@ -96,14 +96,6 @@ def test_scalar_cost_values():
     assert sd.cost(sd.CostSpec(2, 1.0), x, x) == 0.0
 
 
-def test_gibbs_weight_matches_exp_of_cost():
-    spec = sd.CostSpec(2, 0.5)
-    x = np.array([0.2])
-    y = np.array([0.9])
-    c = sd.cost(spec, x, y)
-    assert sd.gibbs_weight(spec, x, y) == pytest.approx(np.exp(-c / 0.5))
-
-
 def test_scalar_kernels():
     x = np.array([0.0])
     y = np.array([2.0])

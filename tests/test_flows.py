@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import sinkdiv as sd
-from sinkdiv.flows import DEFAULT_RECORD_TIMES, FlowConfig, run_flow, write_trajectory
+from sinkdiv.flows import (
+    DEFAULT_RECORD_TIMES,
+    FlowConfig,
+    FlowTrajectory,
+    run_flow,
+    write_trajectory,
+)
 
 from conftest import random_measure
 
@@ -121,6 +127,110 @@ def test_trajectory_round_trips_through_disk(tmp_path):
         assert np.array_equal(rows[:, 1:], pos)
     curve = np.asarray(manifest["loss_curve"])
     assert curve.shape == (len(traj.loss_curve), 2)
+
+
+GOLDEN_FRAMES = {
+    "frame_000.csv": "0,0.10000000000000001\n0,0.66666666666666663\n",
+    "frame_001.csv": "0.25,0.29999999999999999\n0.25,-1.0000000000000001e-05\n",
+}
+GOLDEN_MANIFESTS = {
+    "sinkhorn": """{
+  "config": {
+    "dt": 0.25,
+    "loss": "sinkhorn",
+    "params": {
+      "epsilon": 0.1,
+      "max_iters": 1000,
+      "p": 1,
+      "symmetric_max_iters": 100,
+      "tol": 1e-08
+    },
+    "record_times": [
+      0.0,
+      0.25
+    ],
+    "seed": 7,
+    "t_end": 0.25
+  },
+  "frames": [
+    {
+      "file": "frame_000.csv",
+      "time": 0.0
+    },
+    {
+      "file": "frame_001.csv",
+      "time": 0.25
+    }
+  ],
+  "loss_curve": [
+    [
+      0.0,
+      0.5
+    ],
+    [
+      0.25,
+      0.3333333333333333
+    ]
+  ]
+}
+""",
+    "mmd-gaussian": """{
+  "config": {
+    "dt": 0.25,
+    "kernel": {
+      "kind": "gaussian",
+      "sigma": 0.5
+    },
+    "loss": "mmd-gaussian",
+    "record_times": [
+      0.0,
+      0.25
+    ],
+    "seed": null,
+    "t_end": 0.25
+  },
+  "frames": [
+    {
+      "file": "frame_000.csv",
+      "time": 0.0
+    },
+    {
+      "file": "frame_001.csv",
+      "time": 0.25
+    }
+  ],
+  "loss_curve": [
+    [
+      0.0,
+      0.5
+    ],
+    [
+      0.25,
+      0.3333333333333333
+    ]
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("config", [
+    FlowConfig(loss="sinkhorn", params=sd.SolverParams(epsilon=0.1, p=1, tol=1e-8),
+               dt=0.25, t_end=0.25, seed=7),
+    FlowConfig(loss="mmd-gaussian", kernel=sd.MmdKernelSpec("gaussian", 0.5),
+               dt=0.25, t_end=0.25, record_times=(0.0, 0.25)),
+], ids=lambda config: config.loss)
+def test_written_trajectory_has_golden_bytes(tmp_path, config):
+    traj = FlowTrajectory(
+        frames=[(0.0, np.array([[0.1], [2.0 / 3.0]])), (0.25, np.array([[0.3], [-1e-5]]))],
+        loss_curve=[(0.0, 0.5), (0.25, 1.0 / 3.0)], config=config,
+    )
+    manifest_path = write_trajectory(traj, tmp_path)
+    assert manifest_path == os.path.join(tmp_path, "manifest.json")
+    expected = dict(GOLDEN_FRAMES, **{"manifest.json": GOLDEN_MANIFESTS[config.loss]})
+    assert sorted(os.listdir(tmp_path)) == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
 
 
 def test_failed_step_attaches_the_partial_trajectory():

@@ -111,6 +111,19 @@ def test_json_round_trip_exact(tmp_path):
     assert np.array_equal(back.positions, m.positions)
 
 
+def test_saved_files_have_golden_bytes(tmp_path):
+    measure = sd.from_arrays([0.25, 0.75], [[0.1, -2.0], [1e-300, 3.5]])
+    sd.save_csv(measure, tmp_path / "m.csv")
+    sd.save_json(measure, tmp_path / "m.json")
+    assert (tmp_path / "m.csv").read_bytes() == (
+        b"0.25,0.10000000000000001,-2\n"
+        b"0.75,1e-300,3.5\n"
+    )
+    assert (tmp_path / "m.json").read_bytes() == (
+        b'{"weights": [0.25, 0.75], "positions": [[0.1, -2.0], [1e-300, 3.5]]}\n'
+    )
+
+
 def test_json_malformed_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"weights": [1.0]}))  # positions missing
