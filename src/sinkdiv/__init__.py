@@ -21,6 +21,7 @@ from .engine import (
     lse_rows,
     lse_rows_with_grad,
     reset_high_water,
+    set_threads,
     soft_min,
     softmin,
 )
@@ -73,7 +74,7 @@ __all__ = [
     "CostSpec", "MmdKernelSpec", "cost", "mmd_kernel",
     "ReductionPlan", "ReductionStats", "last_stats", "high_water",
     "reset_high_water", "lse_rows", "lse_rows_with_grad", "kernel_rows",
-    "kernel_grad_rows", "softmin", "soft_min",
+    "kernel_grad_rows", "softmin", "soft_min", "set_threads",
     "SinkdivError", "InvalidInput", "DegenerateMeasure", "FormatError",
     "IoError", "NumericalFailure", "TooLarge", "GradientUnreliable",
     "DiscreteMeasure", "from_arrays", "load_csv", "save_csv", "load_json",

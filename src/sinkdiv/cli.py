@@ -12,9 +12,8 @@ success (including non-converged solves, which are reported in the JSON),
 2 for invalid inputs or files, 3 for numerical failures.
 
 Worker threads default to the ``SINKDIV_THREADS`` environment variable,
-falling back to the host CPU count. ``flow`` with an ``mmd-*`` loss runs on
-one thread whatever the count: the count reaches a flow only inside the
-transport losses' solver parameters.
+falling back to the host CPU count; :func:`main` sets the count for the
+length of one command.
 """
 
 from __future__ import annotations
@@ -38,20 +37,14 @@ LOSS_CHOICES = list(OT_LOSSES) + list(MMD_LOSSES)
 
 
 def _resolve_threads(value: int | None) -> int:
+    """``--threads``, else ``SINKDIV_THREADS``, else the CPU count."""
     if value is not None:
-        if value < 1:
-            raise InvalidInput(f"--threads must be >= 1, got {value}")
         return value
     env = os.environ.get("SINKDIV_THREADS")
-    if env:
-        try:
-            parsed = int(env)
-        except ValueError as exc:
-            raise InvalidInput(f"SINKDIV_THREADS={env!r} is not an integer") from exc
-        if parsed < 1:
-            raise InvalidInput(f"SINKDIV_THREADS must be >= 1, got {parsed}")
-        return parsed
-    return os.cpu_count() or 1
+    try:
+        return int(env) if env else (os.cpu_count() or 1)
+    except ValueError as exc:
+        raise InvalidInput(f"SINKDIV_THREADS={env!r} is not an integer") from exc
 
 
 def _numbers(text: str, kind, option: str) -> list:
@@ -68,7 +61,7 @@ def _load_measure(path: str, fmt: str):
     return load_json(path) if fmt == "json" else load_csv(path)
 
 
-def _loss_options(args, threads: int) -> dict:
+def _loss_options(args) -> dict:
     """The solver parameters or the kernel that ``args.loss`` needs, as the
     ``params=`` or ``kernel=`` keyword of :func:`losses.evaluate`."""
     if args.loss not in OT_LOSSES:
@@ -76,7 +69,7 @@ def _loss_options(args, threads: int) -> dict:
     if args.eps is None:
         raise InvalidInput(f"--eps is required for loss {args.loss!r}")
     return {"params": SolverParams(epsilon=args.eps, p=args.p, tol=args.tol,
-                                   max_iters=args.max_iters, threads=threads)}
+                                   max_iters=args.max_iters)}
 
 
 def _divergence_payload(loss: str, args, value: float, infos: dict) -> dict:
@@ -94,24 +87,21 @@ def _divergence_payload(loss: str, args, value: float, infos: dict) -> dict:
 
 
 def cmd_divergence(args) -> int:
-    threads = _resolve_threads(args.threads)
     alpha = _load_measure(args.measure_a, args.format)
     beta = _load_measure(args.measure_b, args.format)
-    value, _, _, infos = evaluate(args.loss, alpha, beta, threads=threads,
-                                  **_loss_options(args, threads))
+    value, _, _, infos = evaluate(args.loss, alpha, beta, **_loss_options(args))
     payload = _divergence_payload(args.loss, args, value, infos)
     print(json.dumps(payload, separators=(", ", ": ")))
     return 0
 
 
 def cmd_flow(args) -> int:
-    threads = _resolve_threads(args.threads)
     alpha = _load_measure(args.measure_a, args.format)
     beta = _load_measure(args.measure_b, args.format)
     record = None if args.record is None else tuple(_numbers(args.record, float, "--record"))
     config = FlowConfig(
         loss=args.loss, dt=args.dt, t_end=args.t_end, record_times=record,
-        seed=args.seed, **_loss_options(args, threads),
+        seed=args.seed, **_loss_options(args),
     )
     traj = run_flow(alpha, beta, config)
     manifest = write_trajectory(traj, args.out)
@@ -120,13 +110,12 @@ def cmd_flow(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    threads = _resolve_threads(args.threads)
     sizes = _numbers(args.sizes, int, "--sizes")
     if not sizes or any(n < 1 for n in sizes):
         raise InvalidInput(f"--sizes must list positive integers, got {args.sizes!r}")
     if args.repeats < 1:
         raise InvalidInput(f"--repeats must be >= 1, got {args.repeats}")
-    options = _loss_options(args, threads)
+    options = _loss_options(args)
     rows = ["n,loss,mean_seconds,std_seconds,peak_bytes_estimate"]
     for n in sizes:
         alpha = sample_unit_square(n, seed=args.seed)
@@ -135,7 +124,7 @@ def cmd_bench(args) -> int:
         times = []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            evaluate(args.loss, alpha, beta, threads=threads, **options)
+            evaluate(args.loss, alpha, beta, **options)
             times.append(time.perf_counter() - t0)
         peak = engine.high_water()["peak_bytes"]
         rows.append(
@@ -169,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-iters", type=int, default=1000)
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: SINKDIV_THREADS or CPU count); "
-                            "flow with an mmd-* loss runs on one thread")
+                       help="worker threads (default: SINKDIV_THREADS or CPU count)")
 
     p_div = sub.add_parser("divergence", help="print a divergence value as JSON")
     add_common(p_div)
@@ -198,10 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        previous = engine.set_threads(_resolve_threads(args.threads))
+        try:
+            return args.fn(args)
+        finally:
+            engine.set_threads(previous)
     except SinkdivError as exc:
         prefix = "numerical failure" if exc.exit_code == 3 else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)

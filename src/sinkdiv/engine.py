@@ -23,12 +23,14 @@ its term; one private function, :func:`_reduce`, does the rest:
   ``tile_size``-column slices, in column order.
 
 Every output row thus goes through the same arithmetic in the same order
-whatever the mode, the row block or the thread count, so results are
-bitwise identical across all three.
+whatever the mode, the row block or the :func:`set_threads` worker count,
+so results are bitwise identical across all three.
 """
 
 from __future__ import annotations
 
+import contextvars
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ from .measures import DiscreteMeasure
 __all__ = [
     "ReductionPlan", "ReductionStats", "CostStore", "last_stats", "reset_high_water",
     "high_water", "lse_rows", "lse_rows_with_grad", "exp_grad_rows", "kernel_rows",
-    "kernel_grad_rows", "softmin", "soft_min",
+    "kernel_grad_rows", "softmin", "soft_min", "set_threads",
 ]
 
 PAIR_BUDGET = 256 * 256
@@ -50,24 +52,34 @@ PAIR_BUDGET = 256 * 256
 # keeping it made 800- to 2048-point 2D divergences 1.8 to 1.9 times faster
 CACHE_PAIRS = 2048 * 2048
 MODES = ("streaming", "dense")
+_WORKERS = 1  # row-block workers of every reduction; see set_threads
+_WORKERS_LOCK = threading.Lock()
+
+
+def set_threads(n: int) -> int:
+    """Run every later reduction in this process on ``n`` worker threads;
+    returns the previous count (1 at import). Only the speed changes."""
+    global _WORKERS
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidInput(f"thread count must be an integer >= 1, got {n!r}")
+    with _WORKERS_LOCK:
+        previous, _WORKERS = _WORKERS, int(n)
+    return previous
 
 
 @dataclass(frozen=True)
 class ReductionPlan:
-    """Shape, tiling, and execution policy for one reduction.
+    """Shape and tiling of one reduction.
 
     ``tile_size`` is the width of the column slices whose partial sums are
     accumulated in order, in both modes. ``streaming`` mode works on row
     blocks within the pair budget, ``dense`` on one block of all rows.
-    ``threads`` distributes row blocks across a thread pool; results are
-    independent of the thread count.
     """
 
     n_rows: int
     n_cols: int
     tile_size: int = 256
     mode: str = "streaming"
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
@@ -77,8 +89,6 @@ class ReductionPlan:
             raise InvalidInput(f"tile_size must be >= 1, got {self.tile_size}")
         if self.mode not in MODES:
             raise InvalidInput(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.threads < 1:
-            raise InvalidInput(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -154,17 +164,13 @@ def _check_vector(name: str, arr: np.ndarray, length: int) -> np.ndarray:
     return a
 
 
-def _check_plan(plan: ReductionPlan, n_rows: int, n_cols: int):
-    if plan.n_rows != n_rows or plan.n_cols != n_cols:
-        raise InvalidInput(f"plan is {plan.n_rows}x{plan.n_cols} but data is {n_rows}x{n_cols}")
-
-
 def _points(plan: ReductionPlan, targets, sources):
     ys = _check_points("targets", targets)
     xs = _check_points("sources", sources)
     if xs.shape[1] != ys.shape[1]:
         raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
-    _check_plan(plan, xs.shape[0], ys.shape[0])
+    if (plan.n_rows, plan.n_cols) != (xs.shape[0], ys.shape[0]):
+        raise InvalidInput(f"plan is {plan.n_rows}x{plan.n_cols} but data is {len(xs)}x{len(ys)}")
     # contiguous coordinate columns: the same values, broadcast faster
     return np.asfortranarray(xs), np.asfortranarray(ys)
 
@@ -230,10 +236,14 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     acc = np.zeros(n) if sums else None
     gacc = np.zeros((n, d)) if grad else None
     n_buf = 1 + (d > 1 or grad) + grad  # sq; diff for d > 1 or gradients; aux
-    workers = min(plan.threads, len(blocks))
+    workers = min(_WORKERS, len(blocks))
 
     def work(first):
-        bufs = np.empty((n_buf, rb, m))
+        # bufs starts on a 64-byte boundary: the loops below ran 20-30 % slower
+        # at the other offsets, which malloc picks from every earlier allocation
+        raw = np.empty(n_buf * rb * m + 7)
+        start = -raw.ctypes.data % 64 // 8
+        bufs = raw[start:start + n_buf * rb * m].reshape(n_buf, rb, m)
         for r0, r1 in blocks[first::workers]:
             sq, diff, aux = [*bufs[:, : r1 - r0], None, None][:3]
             if cost is None:
@@ -263,8 +273,14 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
                     row_acc += diff[:, j0:j1].sum(axis=1)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
+        # the caller is worker 0 (an idle pool thread would take the next
+        # worker's blocks); the others copy its context, holding np.errstate
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = [pool.submit(contextvars.copy_context().run, work, first)
+                      for first in range(1, workers)]
+            work(0)
+            for future in others:
+                future.result()
     else:
         work(0)
     if store is not None:

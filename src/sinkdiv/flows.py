@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -61,7 +62,7 @@ class FlowConfig:
             raise InvalidInput(f"t_end must be nonnegative, got {self.t_end}")
         if self.record_times is not None:
             for t in self.record_times:
-                if not (0.0 <= t <= self.t_end) and not (self.t_end == 0 and t == 0):
+                if not 0.0 <= t <= self.t_end:
                     raise InvalidInput(
                         f"record time {t} outside [0, {self.t_end}]"
                     )
@@ -149,8 +150,7 @@ def _config_payload(config: FlowConfig) -> dict:
         "seed": config.seed,
     }
     if config.params is not None:
-        payload["params"] = {name: getattr(config.params, name) for name in
-                             ("epsilon", "p", "tol", "max_iters", "symmetric_max_iters")}
+        payload["params"] = asdict(config.params)
     if config.kernel is not None:
         payload["kernel"] = asdict(config.kernel)
     return payload
@@ -160,15 +160,19 @@ def write_trajectory(traj: FlowTrajectory, out_dir) -> str:
     """Write one CSV per frame plus a JSON manifest; returns the manifest path.
 
     Frame rows are ``t,x1,...,xD``. The manifest lists the configuration,
-    the frame files with their times, and the loss curve.
+    the frame files with their times, and the loss curve. Frame files
+    (``frame_NNN.csv``) it does not list are removed from ``out_dir`` first.
     """
+    names = [f"frame_{idx:03d}.csv" for idx in range(len(traj.frames))]
     try:
         os.makedirs(out_dir, exist_ok=True)
+        for name in set(os.listdir(out_dir)) - set(names):
+            if re.fullmatch(r"frame_\d{3,}\.csv", name):
+                os.remove(os.path.join(out_dir, name))
     except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
+        raise IoError(f"cannot prepare {out_dir}: {exc}") from exc
     entries = []
-    for idx, (t, pos) in enumerate(traj.frames):
-        name = f"frame_{idx:03d}.csv"
+    for name, (t, pos) in zip(names, traj.frames):
         _write_text(os.path.join(out_dir, name), _csv_text([t] * len(pos), pos))
         entries.append({"time": t, "file": name})
     manifest = {

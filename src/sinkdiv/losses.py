@@ -118,7 +118,7 @@ def _extension(params: SolverParams, source: DiscreteMeasure, potential: np.ndar
     ``target``'s points (``T = -eps * lse``), with their gradient in those
     points when ``grad`` is set."""
     reduce = lse_rows_with_grad if grad else lse_rows
-    return reduce(params.plan(target.n_atoms, source.n_atoms), source.log_weights,
+    return reduce(ReductionPlan(target.n_atoms, source.n_atoms), source.log_weights,
                   potential, source.positions, target.positions, params.cost_spec)
 
 
@@ -129,17 +129,16 @@ def _extension(params: SolverParams, source: DiscreteMeasure, potential: np.ndar
 
 def evaluate(loss: str, alpha: DiscreteMeasure, beta: DiscreteMeasure, *,
              params: SolverParams | None = None, kernel: MmdKernelSpec | None = None,
-             warm: dict | None = None, threads: int = 1,
-             want_value: bool = True, want_grad: bool = False):
+             warm: dict | None = None, want_value: bool = True, want_grad: bool = False):
     """Value and gradient of one loss in ``alpha``, from one set of solves.
 
     ``loss`` is one of ``ot_eps``, ``sinkhorn``, ``hausdorff``, which need
     ``params``, or ``mmd-energy``, ``mmd-gaussian``, ``mmd-laplacian``,
-    whose ``kernel`` defaults to that family at unit bandwidth and whose
-    reductions run on ``threads`` workers. Only the solves and reductions
-    that ``want_value`` and ``want_grad`` need are run: the ``sinkhorn``
-    gradient alone solves no self-transport problem of ``beta``, and the MMD
-    gradient alone makes no kernel pass of ``beta`` against itself.
+    whose ``kernel`` defaults to that family at unit bandwidth. Only the
+    solves and reductions that ``want_value`` and ``want_grad`` need are
+    run: the ``sinkhorn`` gradient alone solves no self-transport problem of
+    ``beta``, and the MMD gradient alone makes no kernel pass of ``beta``
+    against itself.
     Transport losses accept and return a ``warm`` dict of potentials that
     warm-starts the next evaluation on slightly moved points.
 
@@ -169,8 +168,7 @@ def evaluate(loss: str, alpha: DiscreteMeasure, beta: DiscreteMeasure, *,
             kernel = MmdKernelSpec(kind=loss.removeprefix("mmd-"))
         elif loss != f"mmd-{kernel.kind}":
             raise InvalidInput(f"kernel spec {kernel.kind!r} does not match loss {loss!r}")
-        value, parts, warm_out, states = _mmd(alpha, beta, kernel, threads,
-                                              want_value, want_grad)
+        value, parts, warm_out, states = _mmd(alpha, beta, kernel, want_value, want_grad)
     elif loss in OT_LOSSES:
         if params is None:
             raise InvalidInput(f"loss {loss!r} needs solver parameters")
@@ -252,11 +250,11 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
         # Column-side terms: how moving atom x_i changes T(alpha, p) at each
         # evaluation point z, weighted by the measure sitting at z.
         col_on_a = exp_grad_rows(
-            params.plan(n, n), alpha.log_weights - lse_p_on_a, p,
+            ReductionPlan(n, n), alpha.log_weights - lse_p_on_a, p,
             alpha.positions, alpha.positions, spec,
         )
         col_on_b = exp_grad_rows(
-            params.plan(n, m), beta.log_weights - lse_p_on_b, p,
+            ReductionPlan(n, m), beta.log_weights - lse_p_on_b, p,
             beta.positions, alpha.positions, spec,
         )
         force = 0.5 * alpha.weights[:, None] * (
@@ -266,28 +264,24 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
     return value, grad, {"p": p, "q": q}, {"alpha_auto": auto_a, "beta_auto": auto_b}
 
 
-def _mmd(alpha, beta, kernel, threads, want_value, want_grad):
+def _mmd(alpha, beta, kernel, want_value, want_grad):
     n, m = alpha.n_atoms, beta.n_atoms
     wa, wb = alpha.weights, beta.weights
     xs, ys = alpha.positions, beta.positions
-
-    def plan(n_rows, n_cols):
-        return ReductionPlan(n_rows=n_rows, n_cols=n_cols, threads=threads)
-
     # 0.5 (<a, Ka> + <b, Kb> - 2 <a, Kb>), each sum in a fixed order, so
     # that the loss of a measure against itself is exactly zero
-    rows_auto = kernel_rows(plan(n, n), wa, xs, xs, kernel)
-    rows_cross = kernel_rows(plan(n, m), wb, ys, xs, kernel)
+    rows_auto = kernel_rows(ReductionPlan(n, n), wa, xs, xs, kernel)
+    rows_cross = kernel_rows(ReductionPlan(n, m), wb, ys, xs, kernel)
     value = grad = None
     if want_value:
-        rows_bb = kernel_rows(plan(m, m), wb, ys, ys, kernel)
+        rows_bb = kernel_rows(ReductionPlan(m, m), wb, ys, ys, kernel)
         aa = float(np.sum(wa * rows_auto))
         bb = float(np.sum(wb * rows_bb))
         ab = float(np.sum(wa * rows_cross))
         value = 0.5 * (aa + bb - 2.0 * ab)
     if want_grad:
-        grad_auto = kernel_grad_rows(plan(n, n), wa, xs, xs, kernel)
-        grad_cross = kernel_grad_rows(plan(n, m), wb, ys, xs, kernel)
+        grad_auto = kernel_grad_rows(ReductionPlan(n, n), wa, xs, xs, kernel)
+        grad_cross = kernel_grad_rows(ReductionPlan(n, m), wb, ys, xs, kernel)
         grad = rows_auto - rows_cross, wa[:, None] * (grad_auto - grad_cross)
     return value, grad, {}, {}
 
@@ -341,15 +335,14 @@ def hausdorff_divergence(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     return _loss_value("hausdorff", alpha, beta, params=params)
 
 
-def mmd(alpha: DiscreteMeasure, beta: DiscreteMeasure, kernel: MmdKernelSpec,
-        threads: int = 1) -> LossValue:
+def mmd(alpha: DiscreteMeasure, beta: DiscreteMeasure, kernel: MmdKernelSpec) -> LossValue:
     """Squared maximum mean discrepancy ``0.5 ||alpha - beta||_k^2``.
 
     Expanded as ``0.5 (<a, Ka> + <b, Kb> - 2 <a, Kb>)`` with all three sums
     evaluated by the streaming engine in a fixed order, so
     ``mmd(alpha, alpha)`` is exactly zero.
     """
-    return _loss_value(f"mmd-{kernel.kind}", alpha, beta, kernel=kernel, threads=threads)
+    return _loss_value(f"mmd-{kernel.kind}", alpha, beta, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------

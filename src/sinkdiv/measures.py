@@ -126,11 +126,14 @@ def _parse_rows(rows: list[list[str]], source: str) -> DiscreteMeasure:
 
 
 def _read_text(path) -> str:
+    """The UTF-8 text of ``path``, without a leading byte order mark."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _write_text(path, text: str) -> None:

@@ -76,9 +76,6 @@ class SolverParams:
     tol: float = 1e-6
     max_iters: int = 1000
     symmetric_max_iters: int = 100
-    tile_size: int = 256
-    mode: str = "streaming"
-    threads: int = 1
 
     def __post_init__(self):
         CostSpec(self.p, self.epsilon)  # validates p and epsilon
@@ -91,12 +88,6 @@ class SolverParams:
     @property
     def cost_spec(self) -> CostSpec:
         return CostSpec(self.p, self.epsilon)
-
-    def plan(self, n_rows: int, n_cols: int) -> ReductionPlan:
-        """The plan of an ``n_rows x n_cols`` reduction with these tiling,
-        mode and thread settings."""
-        return ReductionPlan(n_rows=n_rows, n_cols=n_cols, tile_size=self.tile_size,
-                             mode=self.mode, threads=self.threads)
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,7 @@ def sinkhorn(
     spec = params.cost_spec
     eps = spec.epsilon
     n, m = alpha.n_atoms, beta.n_atoms
-    f_plan, g_plan = params.plan(n, m), params.plan(m, n)
+    f_plan, g_plan = ReductionPlan(n, m), ReductionPlan(m, n)
     log_a, log_b = alpha.log_weights, beta.log_weights
     xs, ys = alpha.positions, beta.positions
 
@@ -264,7 +255,7 @@ def sinkhorn_symmetric(
     spec = params.cost_spec
     eps = spec.epsilon
     n = alpha.n_atoms
-    plan = params.plan(n, n)
+    plan = ReductionPlan(n, n)
     log_a = alpha.log_weights
     xs = alpha.positions
     p = _start(init_potential, "init_potential", n)

@@ -24,6 +24,25 @@ def criterion(number: int, name: str):
     ACCEPTANCE_RESULTS.append((number, name, "PASS"))
 
 
+@pytest.fixture(autouse=True)
+def _one_worker_thread_after_each_test():
+    """Fail a test that leaves the process-wide worker count changed, and
+    put it back to 1 for the next test."""
+    yield
+    left = sd.set_threads(1)
+    assert left == 1, f"the test left the worker count at {left}"
+
+
+@contextmanager
+def worker_threads(n: int):
+    """Run the block's reductions on ``n`` workers, then restore the count."""
+    previous = sd.set_threads(n)
+    try:
+        yield
+    finally:
+        sd.set_threads(previous)
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_RESULTS:
         return

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import sinkdiv as sd
+from sinkdiv import engine
 from sinkdiv.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -188,6 +190,38 @@ def test_flow_writes_manifest_and_frames(measure_files, tmp_path, capsys):
     curve = np.asarray(manifest["loss_curve"])
     assert curve[-1, 1] <= curve[0, 1]
     assert manifest["config"]["seed"] == 11
+
+
+def test_mmd_flow_runs_on_the_requested_threads_with_the_same_bytes(tmp_path, capsys,
+                                                                     monkeypatch):
+    # 300 atoms a side: blocks of 65536 // 300 = 218 rows, so every
+    # reduction of the flow has two row blocks
+    rng = np.random.default_rng(8)
+    paths = []
+    for name, lo, hi in (("a.csv", 0.0, 0.2), ("b.csv", 0.6, 1.0)):
+        paths.append(str(tmp_path / name))
+        sd.save_csv(sd.from_arrays(np.full(300, 1 / 300), rng.uniform(lo, hi, 300)), paths[-1])
+    builders = []  # per reduction, the threads that built its blocks
+    reduce, sq_dist_block = engine._reduce, engine.sq_dist_block
+    monkeypatch.setattr(engine, "_reduce", lambda *args, **kw: (
+        builders.append(set()), reduce(*args, **kw))[1])
+    monkeypatch.setattr(engine, "sq_dist_block", lambda *args, **kw: (
+        builders[-1].add(threading.get_ident()), sq_dist_block(*args, **kw))[1])
+    files = {}
+    for threads in (1, 2):
+        builders.clear()
+        out = tmp_path / f"threads{threads}"
+        assert main(["flow", *paths, "--loss", "mmd-energy", "--dt", "0.01",
+                     "--t-end", "0.02", "--threads", str(threads), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(builders) == 15  # 3 evaluations of 5 reductions
+        if threads == 1:
+            assert all(b == {threading.get_ident()} for b in builders)
+        else:
+            assert all(len(b) == 2 for b in builders)
+        files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files[1]) == ["frame_000.csv", "frame_001.csv", "manifest.json"]
+    assert files[1] == files[2]
 
 
 def test_bench_prints_csv_rows(capsys):

@@ -5,6 +5,7 @@ satisfy its limit laws, and allocation accounting must reflect the streaming
 memory model."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sinkdiv.engine import (
     softmin,
 )
 
-from conftest import max_ulp_diff
+from conftest import max_ulp_diff, worker_threads
 
 ULP_BOUND = 4
 
@@ -160,16 +161,31 @@ def test_thread_count_does_not_change_bits():
             "kernel_grad_rows": lambda plan: [kernel_grad_rows(plan, w, ys, xs, kspec)],
         }
         for name, call in calls.items():
-            ref = call(ReductionPlan(n, m, threads=1))
+            ref = call(ReductionPlan(n, m))
             for threads in (2, 4, 7):
                 interval = sys.getswitchinterval()
                 sys.setswitchinterval(1e-6)  # switch workers as often as possible
                 try:
-                    got = call(ReductionPlan(n, m, threads=threads))
+                    with worker_threads(threads):
+                        got = call(ReductionPlan(n, m))
                 finally:
                     sys.setswitchinterval(interval)
                 for g, r in zip(got, ref):
                     assert np.array_equal(g, r), (name, p, kind, threads)
+
+
+def test_workers_keep_the_callers_floating_point_error_state():
+    # coordinates whose squared distances overflow, in two row blocks
+    xs = np.full((300, 1), 1e200)
+    ys = np.full((300, 1), -1e200)
+    kspec = sd.MmdKernelSpec("energy")
+    with worker_threads(2), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = kernel_rows(ReductionPlan(300, 300), np.full(300, 1 / 300), ys, xs, kspec)
+        assert np.all(np.isinf(rows))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            kernel_rows(ReductionPlan(300, 300), np.full(300, 1 / 300), ys, xs, kspec)
 
 
 # (n, m): blocks of 65536 // m rows; the last block short, a single column,
@@ -290,8 +306,11 @@ def test_plan_validation():
         ReductionPlan(4, 4, tile_size=0)
     with pytest.raises(sd.InvalidInput):
         ReductionPlan(4, 4, mode="sparse")
-    with pytest.raises(sd.InvalidInput):
-        ReductionPlan(4, 4, threads=0)
+    for bad in (0, -1, 2.5):
+        with pytest.raises(sd.InvalidInput):
+            sd.set_threads(bad)
+    assert sd.set_threads(2) == 1
+    assert sd.set_threads(1) == 2
 
 
 def test_shape_mismatch_rejected():

@@ -268,6 +268,21 @@ def _diverging_flow(loss, params=None):
     return traj
 
 
+def test_rewritten_trajectory_removes_only_stale_frame_files(tmp_path):
+    alpha, beta = _segment_pair(n=6)
+    out = tmp_path / "out"
+    longer = FlowConfig(loss="mmd-energy", dt=0.05, t_end=0.1, record_times=(0.0, 0.05, 0.1))
+    write_trajectory(run_flow(alpha, beta, longer), out)
+    others = ["notes.txt", "frame_01.csv", "frame_abc.csv", "frame_001.csv.bak",
+              "my_frame_001.csv"]
+    for name in others:
+        (out / name).write_text("kept\n")
+    write_trajectory(run_flow(alpha, beta, FlowConfig(loss="mmd-energy", t_end=0.0)), out)
+    assert sorted(os.listdir(out)) == sorted(["frame_000.csv", "manifest.json", *others])
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        assert [e["file"] for e in json.load(fh)["frames"]] == ["frame_000.csv"]
+
+
 def test_diverging_hausdorff_flow_is_a_numerical_failure():
     _diverging_flow("hausdorff", sd.SolverParams(epsilon=0.1, p=2))
 

@@ -2,8 +2,6 @@
 order relations between the divergences, agreement with the brute-force
 kernel oracle, and finite-difference verification of every gradient."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ import sinkdiv as sd
 from sinkdiv.losses import evaluate
 from sinkdiv.oracles import finite_diff_gradient, mmd_bruteforce
 
-from conftest import random_measure, random_pair
+from conftest import random_measure, random_pair, worker_threads
 
 TIGHT = sd.SolverParams(epsilon=0.1, p=2, tol=1e-13, max_iters=20000)
 
@@ -216,19 +214,19 @@ WARM_KEYS = {"ot_eps": {"f"}, "sinkhorn": {"f", "p", "q"}, "hausdorff": {"p", "q
                                   "mmd-gaussian", "mmd-laplacian"])
 def test_value_force_matches_standalone_evaluations(loss, threads):
     alpha, beta, _ = random_pair(seed=36, max_n=16)
-    if loss in PUBLIC_VALUES:
-        params = dataclasses.replace(TIGHT, threads=threads)
-        options = {"params": params}
-        value = PUBLIC_VALUES[loss](alpha, beta, params).value
-        standalone = sd.sinkhorn_gradient(alpha, beta, params) if loss == "sinkhorn" else None
-    else:
-        kernel = sd.MmdKernelSpec(loss.split("-")[1], sigma=0.6)
-        options = {"kernel": kernel, "threads": threads}
-        value = sd.mmd(alpha, beta, kernel, threads=threads).value
-        standalone = sd.mmd_gradient(alpha, beta, kernel)
-    v, grad, warm, _ = evaluate(loss, alpha, beta, want_grad=True, **options)
-    none, alone, _, _ = evaluate(loss, alpha, beta, want_value=False, want_grad=True,
-                                 **options)
+    with worker_threads(threads):
+        if loss in PUBLIC_VALUES:
+            options = {"params": TIGHT}
+            value = PUBLIC_VALUES[loss](alpha, beta, TIGHT).value
+            standalone = sd.sinkhorn_gradient(alpha, beta, TIGHT) if loss == "sinkhorn" else None
+        else:
+            kernel = sd.MmdKernelSpec(loss.split("-")[1], sigma=0.6)
+            options = {"kernel": kernel}
+            value = sd.mmd(alpha, beta, kernel).value
+            standalone = sd.mmd_gradient(alpha, beta, kernel)
+        v, grad, warm, _ = evaluate(loss, alpha, beta, want_grad=True, **options)
+        none, alone, _, _ = evaluate(loss, alpha, beta, want_value=False, want_grad=True,
+                                     **options)
     assert v == value
     assert none is None
     for other in (alone, standalone):

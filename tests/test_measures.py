@@ -96,6 +96,22 @@ def test_csv_missing_file_raises_io_error(tmp_path):
         sd.load_csv(tmp_path / "nope.csv")
 
 
+def test_csv_byte_order_mark_is_not_taken_for_a_header(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf0.25,0.0\n0.75,1.0\n")
+    m = sd.load_csv(path)
+    assert np.array_equal(m.weights, [0.25, 0.75])
+    assert np.array_equal(m.positions[:, 0], [0.0, 1.0])
+
+
+def test_non_utf8_file_raises_format_error(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    for load in (sd.load_csv, sd.load_json):
+        with pytest.raises(sd.FormatError, match="not UTF-8"):
+            load(path)
+
+
 # ---------------------------------------------------------------------------
 # JSON round-trips
 # ---------------------------------------------------------------------------

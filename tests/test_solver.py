@@ -2,6 +2,7 @@
 monotone dual ascent, marginal feasibility of the implied plan, potential
 extension, the per-solve cost store, and the typed failure modes."""
 
+import functools
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ from sinkdiv.solver import (
     sinkhorn_symmetric,
 )
 
-from conftest import random_measure, random_pair
+from conftest import random_measure, random_pair, worker_threads
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +307,13 @@ def test_solves_within_warm_iterations_are_plain_sinkhorn():
 
 def _reference_sinkhorn(alpha, beta, params, warm=solver.WARM, tried=None):
     """The cross solve's safeguarded over-relaxation as a loop of plain
-    lse_rows calls, no cost store; ``warm > max_iters`` gives plain Sinkhorn.
-    ``tried``, a list, receives the factor of every iteration, redone ones
-    included."""
+    lse_rows calls, no cost store, on the solver's plans (``solver.ReductionPlan``);
+    ``warm > max_iters`` gives plain Sinkhorn. ``tried``, a list, receives
+    the factor of every iteration, redone ones included."""
     spec, eps = params.cost_spec, params.epsilon
-    kw = dict(tile_size=params.tile_size, mode=params.mode, threads=params.threads)
 
     def soft_min(measure, potential, points):
-        plan = ReductionPlan(len(points), measure.n_atoms, **kw)
+        plan = solver.ReductionPlan(len(points), measure.n_atoms)
         return -eps * lse_rows(plan, measure.log_weights, potential,
                                measure.positions, points, spec)
 
@@ -357,10 +357,10 @@ def _reference_sinkhorn(alpha, beta, params, warm=solver.WARM, tried=None):
 
 def _reference_symmetric(alpha, params):
     """The self-transport solve's gauge-free step with its safeguarded secant
-    extrapolation, as a loop of plain lse_rows calls, no cost store."""
+    extrapolation, as a loop of plain lse_rows calls, no cost store, on the
+    solver's plan."""
     n, w, theta = alpha.n_atoms, alpha.weights, solver.THETA
-    plan = ReductionPlan(n, n, tile_size=params.tile_size, mode=params.mode,
-                         threads=params.threads)
+    plan = solver.ReductionPlan(n, n)
     p, it = np.zeros(n), 0
     steps, updates, residuals = [], [], []  # plain updates p + step
     while True:
@@ -380,6 +380,12 @@ def _reference_symmetric(alpha, params):
                 p = updates[-1] - gamma * (updates[-1] - updates[-2])
         residuals.append(residual)
         it += 1
+
+
+def _small_tiles(monkeypatch, mode="streaming"):
+    """Give every plan the solver builds 16-column tiles in ``mode``."""
+    monkeypatch.setattr(solver, "ReductionPlan",
+                        functools.partial(ReductionPlan, tile_size=16, mode=mode))
 
 
 def _count_built_blocks(monkeypatch):
@@ -407,28 +413,29 @@ def test_kept_costs_give_the_bits_of_plain_reductions(p, d, threads, mode, kept,
     monkeypatch.setattr(engine, "PAIR_BUDGET", 1000)
     monkeypatch.setattr(engine, "CACHE_PAIRS", 90 * 90 if kept else 70 * 70 - 1)
     built = _count_built_blocks(monkeypatch)
-    params = SolverParams(epsilon=0.1, p=p, tol=1e-10, max_iters=8,
-                          symmetric_max_iters=8, tile_size=16, mode=mode, threads=threads)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch workers as often as possible
-    try:
-        res = sinkhorn(alpha, beta, params)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sum(built) == 2 * 90 * 70 * (1 if kept else res.iterations)
-    f, g, iterations, residual, omega = _reference_sinkhorn(alpha, beta, params)
-    assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
-    assert (res.iterations, res.residual, res.omega) == (iterations, residual, omega)
-    assert iterations > solver.WARM and omega > 1.0
-    for measure in (alpha, beta):
-        n = measure.n_atoms
-        built.clear()
-        sym = sinkhorn_symmetric(measure, params)
-        assert sum(built) == n * n * (1 if kept else sym.iterations + 1)
-        pot, iterations, residual = _reference_symmetric(measure, params)
-        assert np.array_equal(sym.potential, pot)
-        assert (sym.iterations, sym.residual) == (iterations, residual)
-        assert iterations > 2
+    _small_tiles(monkeypatch, mode)
+    params = SolverParams(epsilon=0.1, p=p, tol=1e-10, max_iters=8, symmetric_max_iters=8)
+    with worker_threads(threads):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch workers as often as possible
+        try:
+            res = sinkhorn(alpha, beta, params)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(built) == 2 * 90 * 70 * (1 if kept else res.iterations)
+        f, g, iterations, residual, omega = _reference_sinkhorn(alpha, beta, params)
+        assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
+        assert (res.iterations, res.residual, res.omega) == (iterations, residual, omega)
+        assert iterations > solver.WARM and omega > 1.0
+        for measure in (alpha, beta):
+            n = measure.n_atoms
+            built.clear()
+            sym = sinkhorn_symmetric(measure, params)
+            assert sum(built) == n * n * (1 if kept else sym.iterations + 1)
+            pot, iterations, residual = _reference_symmetric(measure, params)
+            assert np.array_equal(sym.potential, pot)
+            assert (sym.iterations, sym.residual) == (iterations, residual)
+            assert iterations > 2
 
 
 @pytest.mark.parametrize("kept", [True, False])
@@ -441,13 +448,15 @@ def test_raised_and_redone_relaxation_gives_the_bits_of_plain_reductions(threads
     monkeypatch.setattr(engine, "PAIR_BUDGET", 1000)
     monkeypatch.setattr(engine, "CACHE_PAIRS", 100 * 100 if kept else 100 * 100 - 1)
     built = _count_built_blocks(monkeypatch)
-    params = SolverParams(epsilon=1e-3, p=1, tol=1e-8, max_iters=200, tile_size=16,
-                          threads=threads)
-    res = sinkhorn(alpha, beta, params)
-    assert res.converged
-    assert sum(built) == 2 * 100 * 100 * (1 if kept else res.iterations)
-    tried = []
-    f, g, iterations, residual, omega = _reference_sinkhorn(alpha, beta, params, tried=tried)
+    _small_tiles(monkeypatch)
+    params = SolverParams(epsilon=1e-3, p=1, tol=1e-8, max_iters=200)
+    with worker_threads(threads):
+        res = sinkhorn(alpha, beta, params)
+        assert res.converged
+        assert sum(built) == 2 * 100 * 100 * (1 if kept else res.iterations)
+        tried = []
+        f, g, iterations, residual, omega = _reference_sinkhorn(alpha, beta, params,
+                                                                tried=tried)
     assert np.array_equal(res.f, f) and np.array_equal(res.g, g)
     assert (res.iterations, res.residual, res.omega) == (iterations, residual, omega)
     relaxed = [w for w in tried if w != 1.0]
