@@ -88,7 +88,7 @@ def mmd_kernel(kspec: MmdKernelSpec, x, y) -> float:
 
 # ---------------------------------------------------------------------------
 # Block evaluators: squared distances for the engine, dense costs for the
-# plan diagnostics and the oracles
+# plan diagnostics and the tests' oracles
 # ---------------------------------------------------------------------------
 
 

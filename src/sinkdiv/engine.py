@@ -21,6 +21,21 @@ its term; one private function, :func:`_reduce`, does the rest:
 * A log-sum-exp row is shifted by its exact maximum over the whole row, then
   exponentiated. Row sums and gradient sums are accumulated tile by tile over
   ``tile_size``-column slices, in column order.
+* :func:`lse_rows` raises its shifted terms to ``EXP_FLOOR = -707`` before
+  the ``exp``: below about -708.4 the result is subnormal or 0, and NumPy's
+  vectorised ``exp`` then takes a path 18 to 180 times slower per block
+  (x86 Xeon), which small blur reaches through ``C / eps``. The bits stay:
+  every row holds the exact term ``exp(0) = 1``, and a raised term is below
+  ``e^-707 ~ 9e-308``, under half an ulp of any partial sum above about
+  ``1e-291``. So only sums of such tiny terms change, and they round away
+  when they meet the row's unit term. The pass is skipped when no term can
+  fall that low: a row's terms span at most ``ptp(col) + diam^p / eps``,
+  with ``diam`` the diagonal of both clouds' joint bounding box, kept once
+  per :class:`CostStore`. :func:`exp_grad_rows` and
+  :func:`lse_rows_with_grad` are never clamped: the first rescales by
+  ``exp(mx)``, which can lift a raised term back to order 1, and the second
+  sums a gradient with no unit term (exactly 0 in a self-extension of
+  separated atoms would become about 1e-306).
 
 Every output row thus goes through the same arithmetic in the same order
 whatever the mode, the row block or the :func:`set_threads` worker count,
@@ -52,6 +67,8 @@ PAIR_BUDGET = 256 * 256
 # keeping it made 800- to 2048-point 2D divergences 1.8 to 1.9 times faster
 CACHE_PAIRS = 2048 * 2048
 MODES = ("streaming", "dense")
+# floor of lse_rows' shifted terms before the exp; see the module docstring
+EXP_FLOOR = -707.0
 _WORKERS = 1  # row-block workers of every reduction; see set_threads
 _WORKERS_LOCK = threading.Lock()
 
@@ -191,6 +208,7 @@ class CostStore:
                  spec: CostSpec):
         self.plan, self.targets, self.sources, self.spec = plan, targets, sources, spec
         self.xs, self.ys = _points(plan, targets, sources)
+        self._span = _cost_span(spec, self.xs, self.ys)
         kept = plan.n_rows * plan.n_cols <= CACHE_PAIRS
         self.cost = np.empty((plan.n_rows, plan.n_cols)) if kept else None
         self.ready = False
@@ -201,12 +219,27 @@ class CostStore:
         return 0 if self.cost is None else self.cost.nbytes
 
 
+def _cost_span(spec: CostSpec, xs: np.ndarray, ys: np.ndarray) -> float:
+    """Bound on ``C / eps`` over all pairs: ``diam ** p / eps``, with ``diam``
+    the diagonal of the joint bounding box of ``xs`` and ``ys``."""
+    box = np.maximum(xs.max(axis=0), ys.max(axis=0)) - np.minimum(xs.min(axis=0), ys.min(axis=0))
+    sq = float(box @ box)
+    return (np.sqrt(sq) if spec.p == 1 else sq) / spec.epsilon
+
+
+def _may_underflow(col: np.ndarray, cost_span: float) -> bool:
+    """Whether a shifted :func:`lse_rows` term ``col_j - C_ij / eps - max_i``
+    can fall below ``EXP_FLOOR``; every term lies within ``ptp(col) +
+    cost_span`` of its row maximum. A NaN bound counts as true."""
+    return not col.max() - col.min() + cost_span <= -EXP_FLOOR
+
+
 def _blocks(n: int, size: int):
     return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def _reduce(op, plan, targets, sources, vectors, make_term, *,
-            lse=False, sums=True, grad=False, store=None):
+            lse=False, sums=True, grad=False, store=None, may_underflow=None):
     """The one reduction loop; returns the per-row accumulators ``(mx, acc, gacc)``.
 
     ``vectors`` holds ``(name, array, per_row)`` triples, validated to length
@@ -218,6 +251,9 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     ``lse`` the weights are first shifted by their exact row maximum ``mx``
     and exponentiated. ``acc`` holds the row sums of the weights (``sums``),
     ``gacc`` the row sums of ``diff_k * scale * weights`` (``grad``).
+    Where ``may_underflow(xs, ys, *vecs)`` (``lse`` without ``grad`` only)
+    is true, the shifted weights are raised to ``EXP_FLOOR`` before the
+    ``exp``.
 
     With a ``store`` (cost terms only, no ``grad``) a block's ``C / eps`` is
     read from the store, or built into it on the first call, and passed as
@@ -228,6 +264,7 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     (n, d), m = xs.shape, ys.shape[0]
     vecs = [_check_vector(name, a, n if per_row else m) for name, a, per_row in vectors]
     term = make_term(*vecs)
+    clamp = may_underflow is not None and may_underflow(xs, ys, *vecs)
 
     rb = n if plan.mode == "dense" else min(n, max(1, PAIR_BUDGET // m))
     blocks = _blocks(n, rb)
@@ -259,6 +296,8 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
                 row_max = weights.max(axis=1)
                 mx[r0:r1] = row_max
                 np.subtract(weights, row_max[:, None], out=weights)
+                if clamp:
+                    np.maximum(weights, EXP_FLOOR, out=weights)
                 np.exp(weights, out=weights)
             if sums:
                 row_acc = acc[r0:r1]
@@ -381,10 +420,15 @@ def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np
     if store is not None and not (targets is store.targets and sources is store.sources
                                   and plan == store.plan and spec == store.spec):
         raise InvalidInput("cost store was made for other points, plan or cost")
+
+    def may_underflow(xs, ys, lw, pv):
+        span = _cost_span(spec, xs, ys) if store is None else store._span
+        return _may_underflow(lw + pv / spec.epsilon, span)
+
     mx, acc, _ = _reduce("lse_rows", plan, targets, sources,
                          (("logw", logw, False), ("pot", pot, False)),
                          lambda lw, pv: _cost_term(spec, lw + pv / spec.epsilon), lse=True,
-                         store=store)
+                         store=store, may_underflow=may_underflow)
     return mx + np.log(acc)
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostSpec, MmdKernelSpec, cost_block, mmd_kernel
-from .errors import InvalidInput, TooLarge
-from .measures import DiscreteMeasure, from_arrays
+from sinkdiv.costs import CostSpec, MmdKernelSpec, cost_block, mmd_kernel
+from sinkdiv.errors import InvalidInput, TooLarge
+from sinkdiv.measures import DiscreteMeasure, from_arrays
 
 __all__ = [
     "OracleReport",

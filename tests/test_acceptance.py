@@ -16,12 +16,6 @@ import sinkdiv as sd
 from sinkdiv import engine
 from sinkdiv.engine import ReductionPlan, lse_rows, soft_min, softmin
 from sinkdiv.flows import FlowConfig, run_flow
-from sinkdiv.oracles import (
-    finite_diff_gradient,
-    mmd_bruteforce,
-    negentropy_variational,
-    ot0_1d_sorted,
-)
 from sinkdiv.solver import (
     SolverParams,
     dual_value,
@@ -31,6 +25,12 @@ from sinkdiv.solver import (
 )
 
 from conftest import criterion, max_ulp_diff, random_measure
+from oracles import (
+    finite_diff_gradient,
+    mmd_bruteforce,
+    negentropy_variational,
+    ot0_1d_sorted,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,115 @@ def test_streaming_equals_dense_bits_across_block_boundaries(n, m, d):
 
 
 # ---------------------------------------------------------------------------
+# lse_rows' exp floor: the bits of unclamped arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _terms_1d(col, row, ys, xs, spec):
+    """``col_j + row_i - C_ij / eps`` and the scale of ``dC/dx_i``, by the
+    engine's arithmetic, for 1D points and ``p = 1``."""
+    diff = xs[:, 0, None] - ys[None, :, 0]
+    dist = np.sqrt(diff * diff)
+    scale = np.zeros_like(dist)
+    np.divide(1.0, dist, out=scale, where=dist > 0.0)
+    return col + (row[:, None] - dist / spec.epsilon), diff, scale
+
+
+def _tile_sums(block, tile):
+    acc = np.zeros(block.shape[0])
+    for j0 in range(0, block.shape[1], tile):
+        acc += block[:, j0:j0 + tile].sum(axis=1)
+    return acc
+
+
+def test_lse_rows_exp_floor_keeps_the_bits_of_unclamped_sums():
+    # 2,000 rows in [0, 0.005] against five 16-column tiles at eps = 1e-3:
+    # the tile of each row's maximum, two tiles of shifted terms in
+    # [-746, -707), where exp is subnormal, and two below -746, where it is 0
+    rng = np.random.default_rng(700)
+    xs = rng.uniform(0.0, 0.005, (2000, 1))
+    ys = np.concatenate([rng.uniform(0.720, 0.728, 16), rng.uniform(0.8, 0.9, 16),
+                         np.linspace(0.0, 0.005, 16), rng.uniform(0.730, 0.738, 16),
+                         rng.uniform(1.0, 2.0, 16)])[:, None]
+    logw = np.full(80, np.log(1 / 80))
+    pot = rng.normal(0.0, 1e-4, 80)
+    spec = sd.CostSpec(1, 1e-3)
+    n, m, tile = len(xs), len(ys), 16
+    t, _, _ = _terms_1d(logw + pot / spec.epsilon, np.zeros(n), ys, xs, spec)
+    mx = t.max(axis=1)
+    shifted = t - mx[:, None]
+    tiles = [shifted[:, j0:j0 + tile] for j0 in range(0, m, tile)]
+    assert all(np.all((s < -707) & (s >= -746)) for s in (tiles[0], tiles[3]))
+    assert all(np.all(s < -746) for s in (tiles[1], tiles[4]))
+    want = mx + np.log(_tile_sums(np.exp(shifted), tile))
+    assert engine._may_underflow(logw + pot / spec.epsilon, engine._cost_span(spec, xs, ys))
+
+    for mode in ("streaming", "dense"):
+        for threads in (1, 2):
+            plan = ReductionPlan(n, m, tile_size=tile, mode=mode)
+            store = engine.CostStore(plan, ys, xs, spec)
+            with worker_threads(threads):
+                got = [lse_rows(plan, logw, pot, ys, xs, spec),
+                       lse_rows(plan, logw, pot, ys, xs, spec, store=store),
+                       lse_rows(plan, logw, pot, ys, xs, spec, store=store)]
+            for g in got:
+                assert np.array_equal(g, want), (mode, threads)
+
+
+def test_gradient_reductions_are_never_clamped():
+    # a self-extension of separated atoms: each row's maximum term is its own
+    # atom, with coordinate difference 0, and its other terms underflow
+    xs = np.array([[0.0], [0.0005], [1.0], [2.5]])
+    n = len(xs)
+    spec = sd.CostSpec(1, 1e-3)
+    logw = np.full(n, np.log(1 / n))
+    plan = ReductionPlan(n, n)
+    _, grad = lse_rows_with_grad(plan, logw, np.zeros(n), xs, xs, spec)
+    assert np.all(grad[2:] == 0.0)  # about -1e-306 if the floor were applied
+
+    # exp(mx) lifts the row's terms back: a raised e^-707 would read about e^-18
+    row_pot = np.array([0.0, 0.0, 0.69, 0.0])
+    t, diff, scale = _terms_1d(logw, row_pot / spec.epsilon, xs, xs, spec)
+    mx = t.max(axis=1)
+    want = np.exp(mx)[:, None] * _tile_sums(diff * scale * np.exp(t - mx[:, None]), 256)[:, None]
+    got = exp_grad_rows(plan, logw, row_pot, xs, xs, spec)
+    assert np.array_equal(got, want)
+    assert np.all(got[2:] == 0.0)
+
+
+def test_exp_floor_guard_engages_only_where_exp_can_underflow():
+    rng = np.random.default_rng(701)
+
+    def guarded(alpha, beta, params):
+        spec = params.cost_spec
+        cross = sd.sinkhorn(alpha, beta, params)
+        auto = sd.sinkhorn_symmetric(alpha, params)
+        xs, ys = alpha.positions, beta.positions
+        return [engine._may_underflow(log_w + pot / spec.epsilon,
+                                      engine._cost_span(spec, rows, cols))
+                for log_w, pot, cols, rows in (
+                    (beta.log_weights, cross.g, ys, xs),
+                    (alpha.log_weights, cross.f, xs, ys),
+                    (alpha.log_weights, auto.potential, xs, xs))]
+
+    # small-blur-1d: Dirichlet weights on [0, 1] at eps = 1e-3, p = 1
+    a = sd.from_arrays(rng.dirichlet(np.ones(100)), rng.uniform(0, 1, (100, 1)))
+    b = sd.from_arrays(rng.dirichlet(np.ones(100)), rng.uniform(0, 1, (100, 1)))
+    assert guarded(a, b, sd.SolverParams(epsilon=1e-3, p=1, tol=1e-8, max_iters=50000)) == [
+        True] * 3
+    # cloud-2d: the unit square against a ring inside it at eps = 0.1, p = 2
+    theta = rng.uniform(0, 2 * np.pi, 200)
+    ring = np.c_[0.6 + 0.3 * np.cos(theta), 0.5 + 0.3 * np.sin(theta)]
+    a = sd.from_arrays(np.full(200, 1 / 200), rng.uniform(0, 1, (200, 2)))
+    b = sd.from_arrays(np.full(200, 1 / 200), ring)
+    assert guarded(a, b, sd.SolverParams(epsilon=0.1, p=2, tol=1e-6)) == [False] * 3
+    # flow-1d: [0, 0.2] against [0.6, 1] at eps = 0.1, p = 1
+    a = sd.from_arrays(np.full(200, 1 / 200), rng.uniform(0, 0.2, (200, 1)))
+    b = sd.from_arrays(np.full(200, 1 / 200), rng.uniform(0.6, 1, (200, 1)))
+    assert guarded(a, b, sd.SolverParams(epsilon=0.1, p=1, tol=1e-6)) == [False] * 3
+
+
+# ---------------------------------------------------------------------------
 # scalar soft-minimum properties
 # ---------------------------------------------------------------------------
 

@@ -7,9 +7,9 @@ import pytest
 
 import sinkdiv as sd
 from sinkdiv.losses import evaluate
-from sinkdiv.oracles import finite_diff_gradient, mmd_bruteforce
 
 from conftest import random_measure, random_pair, worker_threads
+from oracles import finite_diff_gradient, mmd_bruteforce
 
 TIGHT = sd.SolverParams(epsilon=0.1, p=2, tol=1e-13, max_iters=20000)
 

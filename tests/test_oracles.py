@@ -13,7 +13,9 @@ import pytest
 import scipy.optimize
 
 import sinkdiv as sd
-from sinkdiv.oracles import (
+
+from conftest import random_measure
+from oracles import (
     OracleReport,
     finite_diff_gradient,
     mmd_bruteforce,
@@ -21,8 +23,6 @@ from sinkdiv.oracles import (
     ot0_1d_sorted,
     primal_value_dense,
 )
-
-from conftest import random_measure
 
 
 # ---------------------------------------------------------------------------
