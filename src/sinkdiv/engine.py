@@ -9,7 +9,8 @@ its term; one private function, :func:`_reduce`, does the rest:
   so a block holds at most ``PAIR_BUDGET`` pairs (one 256 x 256 tile), or
   one row when a row alone is longer; memory stays linear in
   ``n_rows + n_cols``. ``dense`` mode is the same loop with one block.
-* Each worker allocates its block buffers once and reuses them. A block's
+* Each worker reuses one set of 64-byte-aligned block buffers, kept for the
+  solve by the call's :class:`CostStore` or else made per call. A block's
   squared distances are built once, in the coordinate order of
   :func:`costs.sq_dist_block`, and turned into its terms in place.
 * A solver passes one :class:`CostStore` per direction to its
@@ -45,6 +46,8 @@ so results are bitwise identical across all three.
 from __future__ import annotations
 
 import contextvars
+import functools
+import math
 import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -115,9 +118,9 @@ class ReductionStats:
     ``pair_buffer_bytes`` is the size of one block buffer indexed by (row,
     column) pairs; in streaming mode it stays within ``PAIR_BUDGET`` pairs
     unless a single row is longer. ``peak_bytes`` adds up the inputs, the
-    per-row outputs, every worker's block buffers and the cost blocks kept by
-    the call's :class:`CostStore`; a cross solve holds one such store per
-    direction.
+    per-row outputs and the block buffers of every worker, or, for a call
+    with a :class:`CostStore`, the store's :attr:`CostStore.nbytes` in place
+    of those buffers; a cross solve holds one such store per direction.
     """
 
     op: str
@@ -129,13 +132,16 @@ class ReductionStats:
 
 
 _STATS_LOCK = threading.Lock()
-_LAST_STATS: ReductionStats | None = None
+_LAST_STATS = None  # (op, plan, pair_buffer_bytes, peak_bytes) of the last call
 _HIGH_WATER: dict = {"peak_bytes": 0, "pair_buffer_bytes": 0}
 
 
 def last_stats() -> ReductionStats | None:
     """Accounting record of the most recent engine call in this process."""
-    return _LAST_STATS
+    if _LAST_STATS is None:
+        return None
+    op, plan, pair, peak = _LAST_STATS
+    return ReductionStats(op, plan.mode, plan.n_rows, plan.n_cols, pair, peak)
 
 
 def reset_high_water() -> None:
@@ -150,15 +156,12 @@ def high_water() -> dict:
         return dict(_HIGH_WATER)
 
 
-def _record_stats(op, plan, pair_buffer_bytes, peak_bytes):
+def _record_stats(op, plan, pair, peak):
     global _LAST_STATS
-    stats = ReductionStats(op=op, mode=plan.mode, n_rows=plan.n_rows, n_cols=plan.n_cols,
-                           pair_buffer_bytes=int(pair_buffer_bytes), peak_bytes=int(peak_bytes))
     with _STATS_LOCK:
-        _LAST_STATS = stats
-        for key in _HIGH_WATER:
-            _HIGH_WATER[key] = max(_HIGH_WATER[key], getattr(stats, key))
-    return stats
+        _LAST_STATS = (op, plan, pair, peak)
+        _HIGH_WATER["peak_bytes"] = max(_HIGH_WATER["peak_bytes"], peak)
+        _HIGH_WATER["pair_buffer_bytes"] = max(_HIGH_WATER["pair_buffer_bytes"], pair)
 
 
 def _check_points(name: str, arr: np.ndarray) -> np.ndarray:
@@ -167,7 +170,7 @@ def _check_points(name: str, arr: np.ndarray) -> np.ndarray:
         raise InvalidInput(f"{name} must be (n, d), got shape {a.shape}")
     if a.shape[0] == 0:
         raise DegenerateMeasure(f"{name} has no points")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInput(f"{name} contains NaN or infinite entries")
     return a
 
@@ -176,7 +179,7 @@ def _check_vector(name: str, arr: np.ndarray, length: int) -> np.ndarray:
     a = np.asarray(arr, dtype=np.float64)
     if a.shape != (length,):
         raise InvalidInput(f"{name} must have shape ({length},), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInput(f"{name} contains NaN or infinite entries")
     return a
 
@@ -199,9 +202,9 @@ class CostStore:
     :func:`lse_rows` call in that direction, with the plan, point arrays and
     cost it was made for. The points are validated once; while ``n_rows *
     n_cols <= CACHE_PAIRS`` the first call keeps each row block's ``C / eps``
-    and later calls start from it. Results are bitwise those of calls
-    without a store. The point arrays must not change while the store is in
-    use.
+    and later calls start from it. It also keeps each worker's block buffers,
+    so it serves one solve at a time. Results are bitwise those of calls
+    without a store. The points must not change while the store is in use.
     """
 
     def __init__(self, plan: ReductionPlan, targets: np.ndarray, sources: np.ndarray,
@@ -210,13 +213,14 @@ class CostStore:
         self.xs, self.ys = _points(plan, targets, sources)
         self._span = _cost_span(spec, self.xs, self.ys)
         kept = plan.n_rows * plan.n_cols <= CACHE_PAIRS
-        self.cost = np.empty((plan.n_rows, plan.n_cols)) if kept else None
+        self.cost = _aligned_empty((plan.n_rows, plan.n_cols)) if kept else None
         self.ready = False
+        self.bufs = {}  # worker index -> that worker's block buffers
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the kept cost blocks."""
-        return 0 if self.cost is None else self.cost.nbytes
+        """Bytes held by the kept cost blocks and the workers' block buffers."""
+        return sum(a.nbytes for a in (self.cost, *self.bufs.values()) if a is not None)
 
 
 def _cost_span(spec: CostSpec, xs: np.ndarray, ys: np.ndarray) -> float:
@@ -231,11 +235,21 @@ def _may_underflow(col: np.ndarray, cost_span: float) -> bool:
     """Whether a shifted :func:`lse_rows` term ``col_j - C_ij / eps - max_i``
     can fall below ``EXP_FLOOR``; every term lies within ``ptp(col) +
     cost_span`` of its row maximum. A NaN bound counts as true."""
-    return not col.max() - col.min() + cost_span <= -EXP_FLOOR
+    return cost_span > -EXP_FLOOR or not col.max() - col.min() + cost_span <= -EXP_FLOOR
 
 
-def _blocks(n: int, size: int):
-    return [(i, min(i + size, n)) for i in range(0, n, size)]
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised array of ``shape`` starting on a 64-byte boundary:
+    the block loops ran 20-30 % slower at the other offsets, which malloc
+    picks from every earlier allocation."""
+    raw = np.empty(math.prod(shape) + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + raw.size - 7].reshape(shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _blocks(n: int, size: int) -> tuple:
+    return tuple((i, min(i + size, n)) for i in range(0, n, size))
 
 
 def _reduce(op, plan, targets, sources, vectors, make_term, *,
@@ -251,9 +265,9 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     ``lse`` the weights are first shifted by their exact row maximum ``mx``
     and exponentiated. ``acc`` holds the row sums of the weights (``sums``),
     ``gacc`` the row sums of ``diff_k * scale * weights`` (``grad``).
-    Where ``may_underflow(xs, ys, *vecs)`` (``lse`` without ``grad`` only)
-    is true, the shifted weights are raised to ``EXP_FLOOR`` before the
-    ``exp``.
+    Where ``may_underflow(xs, ys)`` (``lse`` without ``grad`` only), called
+    after ``make_term``, is true, the shifted weights are raised to
+    ``EXP_FLOOR`` before the ``exp``.
 
     With a ``store`` (cost terms only, no ``grad``) a block's ``C / eps`` is
     read from the store, or built into it on the first call, and passed as
@@ -264,7 +278,7 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     (n, d), m = xs.shape, ys.shape[0]
     vecs = [_check_vector(name, a, n if per_row else m) for name, a, per_row in vectors]
     term = make_term(*vecs)
-    clamp = may_underflow is not None and may_underflow(xs, ys, *vecs)
+    clamp = may_underflow is not None and may_underflow(xs, ys)
 
     rb = n if plan.mode == "dense" else min(n, max(1, PAIR_BUDGET // m))
     blocks = _blocks(n, rb)
@@ -274,13 +288,12 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     gacc = np.zeros((n, d)) if grad else None
     n_buf = 1 + (d > 1 or grad) + grad  # sq; diff for d > 1 or gradients; aux
     workers = min(_WORKERS, len(blocks))
+    buffers = {} if store is None else store.bufs
 
     def work(first):
-        # bufs starts on a 64-byte boundary: the loops below ran 20-30 % slower
-        # at the other offsets, which malloc picks from every earlier allocation
-        raw = np.empty(n_buf * rb * m + 7)
-        start = -raw.ctypes.data % 64 // 8
-        bufs = raw[start:start + n_buf * rb * m].reshape(n_buf, rb, m)
+        if first not in buffers:
+            buffers[first] = _aligned_empty((n_buf, rb, m))
+        bufs = buffers[first]
         for r0, r1 in blocks[first::workers]:
             sq, diff, aux = [*bufs[:, : r1 - r0], None, None][:3]
             if cost is None:
@@ -325,10 +338,8 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     if store is not None:
         store.ready = True
     pair = rb * m * 8
-    arrays = [a for a in (xs, ys, *vecs, mx, acc, gacc) if a is not None]
-    peak = sum(a.nbytes for a in arrays) + workers * n_buf * pair
-    if store is not None:
-        peak += store.nbytes
+    peak = sum([a.nbytes for a in (xs, ys, *vecs, mx, acc, gacc) if a is not None])
+    peak += workers * n_buf * pair if store is None else store.nbytes
     _record_stats(op, plan, pair, peak)
     return mx, acc, gacc
 
@@ -421,14 +432,17 @@ def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np
                                   and plan == store.plan and spec == store.spec):
         raise InvalidInput("cost store was made for other points, plan or cost")
 
-    def may_underflow(xs, ys, lw, pv):
-        span = _cost_span(spec, xs, ys) if store is None else store._span
-        return _may_underflow(lw + pv / spec.epsilon, span)
+    col = None  # logw + pot / eps of the validated vectors, built by make_term
+
+    def make_term(lw, pv):
+        nonlocal col
+        col = lw + pv / spec.epsilon
+        return _cost_term(spec, col)
 
     mx, acc, _ = _reduce("lse_rows", plan, targets, sources,
-                         (("logw", logw, False), ("pot", pot, False)),
-                         lambda lw, pv: _cost_term(spec, lw + pv / spec.epsilon), lse=True,
-                         store=store, may_underflow=may_underflow)
+                         (("logw", logw, False), ("pot", pot, False)), make_term, lse=True,
+                         store=store, may_underflow=lambda xs, ys: _may_underflow(
+                             col, _cost_span(spec, xs, ys) if store is None else store._span))
     return mx + np.log(acc)
 
 

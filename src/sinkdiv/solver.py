@@ -194,10 +194,10 @@ def sinkhorn(
     for iterations in range(1, params.max_iters + 1):
         t = -eps * lse_rows(g_plan, log_a, f, xs, ys, spec, store=g_store)
         g = t if omega == 1.0 else t + (1.0 - omega) * (g - t)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalFailure("dual iterates became non-finite")
         t = -eps * lse_rows(f_plan, log_b, g, ys, xs, spec, store=f_store)
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise NumericalFailure("dual iterates became non-finite")
         if omega != 1.0:
             new_value = dual_value(alpha, beta, t, g)
@@ -263,7 +263,7 @@ def sinkhorn_symmetric(
     iterations, previous, last = 0, np.inf, None  # last: the previous step and plain update
     while True:
         t = -eps * lse_rows(plan, log_a, p, xs, xs, spec, store=store)
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise NumericalFailure("symmetric iterates became non-finite")
         residual = float(np.max(np.abs(p - t)))
         if residual <= params.tol or iterations >= params.symmetric_max_iters:

@@ -239,6 +239,16 @@ def test_bench_prints_csv_rows(capsys):
         assert int(cells[4]) > 0
 
 
+def test_bench_peak_bytes_are_unchanged(capsys):
+    # golden values: a worker's block buffers count the same whether a store
+    # keeps them or the call makes them
+    for threads, peaks in (("1", ["102400", "1785600"]), ("2", ["102400", "2832000"])):
+        assert main(["bench", "--sizes", "64,300", "--loss", "sinkhorn", "--eps", "0.1",
+                     "--repeats", "1", "--threads", threads]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == peaks
+
+
 def test_bench_rejects_bad_sizes(capsys):
     assert main(["bench", "--sizes", "0", "--loss", "mmd-energy"]) == 2
     capsys.readouterr()

@@ -473,3 +473,80 @@ def test_dense_accounting_reports_full_matrix():
 def test_high_water_resets():
     engine.reset_high_water()
     assert engine.high_water()["peak_bytes"] == 0
+
+
+def test_accounting_follows_the_formula_of_each_reduction():
+    # 300 rows against 250 columns in 2D: blocks of 65536 // 250 = 262 rows,
+    # so two workers take one block each
+    rng = np.random.default_rng(802)
+    n, m, d = 300, 250, 2
+    xs, ys = rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, (m, d))
+    logw, pot, row_pot = np.log(rng.dirichlet(np.ones(m))), rng.normal(0, 1, m), rng.normal(0, 1, n)
+    w, spec, kspec = np.exp(logw), sd.CostSpec(2, 0.1), sd.MmdKernelSpec("gaussian", 0.5)
+    plan, pair = ReductionPlan(n, m), 262 * m * 8
+    # op: (call, float64 entries of inputs and outputs, block buffers per worker)
+    calls = {
+        "lse_rows": (lambda: lse_rows(plan, logw, pot, ys, xs, spec), 2 * m + 2 * n, 2),
+        "lse_rows_with_grad": (lambda: lse_rows_with_grad(plan, logw, pot, ys, xs, spec),
+                               2 * m + 2 * n + n * d, 3),
+        "exp_grad_rows": (lambda: exp_grad_rows(plan, logw, row_pot, ys, xs, spec),
+                          m + 2 * n + n * d, 3),
+        "kernel_rows": (lambda: kernel_rows(plan, w, ys, xs, kspec), m + n, 2),
+        "kernel_grad_rows": (lambda: kernel_grad_rows(plan, w, ys, xs, kspec), m + n * d, 3),
+    }
+    for threads in (1, 2):
+        engine.reset_high_water()
+        assert engine.high_water() == {"peak_bytes": 0, "pair_buffer_bytes": 0}
+        most = 0
+        with worker_threads(threads):
+            for op, (call, entries, n_buf) in calls.items():
+                call()
+                peak = 8 * (n * d + m * d + entries) + threads * n_buf * pair
+                assert engine.last_stats() == engine.ReductionStats(
+                    op, "streaming", n, m, pair, peak), (op, threads)
+                most = max(most, peak)
+                assert engine.high_water() == {"peak_bytes": most, "pair_buffer_bytes": pair}
+            store = engine.CostStore(plan, ys, xs, spec)
+            lse_rows(plan, logw, pot, ys, xs, spec, store=store)
+        # a store's calls count its kept costs and block buffers once
+        assert store.nbytes == n * m * 8 + threads * 2 * pair
+        assert engine.last_stats().peak_bytes == 8 * (n * d + m * d + 2 * m + 2 * n) + store.nbytes
+        engine.reset_high_water()
+        assert engine.high_water() == {"peak_bytes": 0, "pair_buffer_bytes": 0}
+        assert isinstance(engine.last_stats(), engine.ReductionStats)
+
+
+def test_cost_store_keeps_its_workers_block_buffers(monkeypatch):
+    # blocks of 36,000 // 300 = 120 rows: 500 rows make five blocks in
+    # streaming mode, for four workers, and one in dense mode
+    rng = np.random.default_rng(803)
+    n, m = 500, 300
+    xs, ys = rng.uniform(-1, 1, (n, 2)), rng.uniform(-1, 1, (m, 2))
+    logw, spec = np.log(rng.dirichlet(np.ones(m))), sd.CostSpec(1, 0.05)
+    monkeypatch.setattr(engine, "PAIR_BUDGET", 120 * m)
+    shapes = []  # of every _aligned_empty call
+    aligned_empty = engine._aligned_empty
+    monkeypatch.setattr(engine, "_aligned_empty",
+                        lambda shape: (shapes.append(shape), aligned_empty(shape))[1])
+    interval = sys.getswitchinterval()
+    for mode, rows, workers in (("streaming", 120, 4), ("dense", n, 1)):
+        plan = ReductionPlan(n, m, tile_size=97, mode=mode)
+        store = engine.CostStore(plan, ys, xs, spec)
+        assert shapes == [(n, m)]  # the kept costs
+        # thread counts in turn, each with a fresh potential (and so new bits)
+        for call, threads in enumerate((1, 1, 4, 4, 1, 4)):
+            pot = rng.normal(0, 1, m)
+            sys.setswitchinterval(1e-6)  # switch workers as often as possible
+            try:
+                with worker_threads(threads):
+                    want = lse_rows(plan, logw, pot, ys, xs, spec)
+                    shapes.clear()
+                    got = lse_rows(plan, logw, pot, ys, xs, spec, store=store)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(got, want), (mode, call)
+            # a worker's buffers are made on its first call, then kept
+            made = {0: 1, 2: workers - 1}.get(call, 0)
+            assert shapes == [(2, rows, m)] * made, (mode, call)
+        assert store.nbytes == n * m * 8 + workers * 2 * rows * m * 8
+        shapes.clear()
