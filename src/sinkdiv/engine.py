@@ -9,16 +9,17 @@ its term; one private function, :func:`_reduce`, does the rest:
   so a block holds at most ``PAIR_BUDGET`` pairs (one 256 x 256 tile), or
   one row when a row alone is longer; memory stays linear in
   ``n_rows + n_cols``. ``dense`` mode is the same loop with one block.
-* Each worker reuses one set of 64-byte-aligned block buffers, kept for the
-  solve by the call's :class:`CostStore` or else made per call. A block's
-  squared distances are built once, in the coordinate order of
+* Every reduction runs on a :class:`CostStore`: its validated points, each
+  worker's 64-byte-aligned block buffers and, for a solve, the kept costs.
+  A call without a store makes a one-shot store that keeps no costs. A
+  block's squared distances are built once, in the coordinate order of
   :func:`costs.sq_dist_block`, and turned into its terms in place.
 * A solver passes one :class:`CostStore` per direction to its
-  :func:`lse_rows` calls. The first call keeps every block's ``C / eps``,
-  built by the same arithmetic, and later calls of the solve start from
-  those blocks. This costs ``8 n_rows n_cols`` bytes per direction and is
-  done only up to ``CACHE_PAIRS`` pairs; larger problems stream in linear
-  memory.
+  :func:`lse_rows` calls, which validate its log-weights once. The first
+  call keeps every block's ``C / eps``, built by the same arithmetic, and
+  later calls of the solve start from those blocks. This costs ``8 n_rows
+  n_cols`` bytes per direction and is done only up to ``CACHE_PAIRS``
+  pairs; larger problems stream in linear memory.
 * A log-sum-exp row is shifted by its exact maximum over the whole row, then
   exponentiated. Row sums and gradient sums are accumulated tile by tile over
   ``tile_size``-column slices, in column order.
@@ -31,12 +32,12 @@ its term; one private function, :func:`_reduce`, does the rest:
   ``1e-291``. So only sums of such tiny terms change, and they round away
   when they meet the row's unit term. The pass is skipped when no term can
   fall that low: a row's terms span at most ``ptp(col) + diam^p / eps``,
-  with ``diam`` the diagonal of both clouds' joint bounding box, kept once
-  per :class:`CostStore`. :func:`exp_grad_rows` and
-  :func:`lse_rows_with_grad` are never clamped: the first rescales by
-  ``exp(mx)``, which can lift a raised term back to order 1, and the second
-  sums a gradient with no unit term (exactly 0 in a self-extension of
-  separated atoms would become about 1e-306).
+  with ``diam`` the diagonal of both clouds' joint bounding box, computed
+  once per :class:`CostStore` when :func:`lse_rows` first asks for it.
+  :func:`exp_grad_rows` and :func:`lse_rows_with_grad` are never clamped:
+  the first rescales by ``exp(mx)``, which can lift a raised term back to
+  order 1, and the second sums a gradient with no unit term (exactly 0 in a
+  self-extension of separated atoms would become about 1e-306).
 
 Every output row thus goes through the same arithmetic in the same order
 whatever the mode, the row block or the :func:`set_threads` worker count,
@@ -118,9 +119,9 @@ class ReductionStats:
     ``pair_buffer_bytes`` is the size of one block buffer indexed by (row,
     column) pairs; in streaming mode it stays within ``PAIR_BUDGET`` pairs
     unless a single row is longer. ``peak_bytes`` adds up the inputs, the
-    per-row outputs and the block buffers of every worker, or, for a call
-    with a :class:`CostStore`, the store's :attr:`CostStore.nbytes` in place
-    of those buffers; a cross solve holds one such store per direction.
+    per-row outputs and the :attr:`CostStore.nbytes` of the store the call
+    ran on: the block buffers of every worker, plus the kept costs of a
+    solve's store. A cross solve holds one such store per direction.
     """
 
     op: str
@@ -184,51 +185,59 @@ def _check_vector(name: str, arr: np.ndarray, length: int) -> np.ndarray:
     return a
 
 
-def _points(plan: ReductionPlan, targets, sources):
-    ys = _check_points("targets", targets)
-    xs = _check_points("sources", sources)
-    if xs.shape[1] != ys.shape[1]:
-        raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
-    if (plan.n_rows, plan.n_cols) != (xs.shape[0], ys.shape[0]):
-        raise InvalidInput(f"plan is {plan.n_rows}x{plan.n_cols} but data is {len(xs)}x{len(ys)}")
-    # contiguous coordinate columns: the same values, broadcast faster
-    return np.asfortranarray(xs), np.asfortranarray(ys)
-
-
 class CostStore:
-    """The validated points and scaled costs ``C / eps`` of one solve direction.
+    """What a reduction runs on: the validated points of one direction, each
+    worker's block buffers and, for a solve, the scaled costs ``C / eps``.
 
     A solver makes one store per direction of a solve and passes it to every
     :func:`lse_rows` call in that direction, with the plan, point arrays and
-    cost it was made for. The points are validated once; while ``n_rows *
+    cost it was made for. The points are validated once, when the store is
+    made, and the log-weights once per array handed in. While ``n_rows *
     n_cols <= CACHE_PAIRS`` the first call keeps each row block's ``C / eps``
-    and later calls start from it. It also keeps each worker's block buffers,
-    so it serves one solve at a time. Results are bitwise those of calls
-    without a store. The points must not change while the store is in use.
+    and later calls start from it. The workers' block buffers are kept too,
+    so a store serves one solve at a time. A call without a store runs on a
+    one-shot store that keeps no costs, with bitwise the same results.
+    Neither the points nor the log-weights may change while a store is in use.
     """
+
+    keeps = True  # whether the store may keep C / eps; a one-shot store does not
 
     def __init__(self, plan: ReductionPlan, targets: np.ndarray, sources: np.ndarray,
                  spec: CostSpec):
         self.plan, self.targets, self.sources, self.spec = plan, targets, sources, spec
-        self.xs, self.ys = _points(plan, targets, sources)
-        self._span = _cost_span(spec, self.xs, self.ys)
-        kept = plan.n_rows * plan.n_cols <= CACHE_PAIRS
+        ys = _check_points("targets", targets)
+        xs = _check_points("sources", sources)
+        if xs.shape[1] != ys.shape[1]:
+            raise InvalidInput(f"dimension mismatch: sources d={xs.shape[1]}, targets d={ys.shape[1]}")
+        if (plan.n_rows, plan.n_cols) != (xs.shape[0], ys.shape[0]):
+            raise InvalidInput(f"plan is {plan.n_rows}x{plan.n_cols} but data is {len(xs)}x{len(ys)}")
+        # contiguous coordinate columns: the same values, broadcast faster
+        self.xs, self.ys = np.asfortranarray(xs), np.asfortranarray(ys)
+        kept = self.keeps and plan.n_rows * plan.n_cols <= CACHE_PAIRS
         self.cost = _aligned_empty((plan.n_rows, plan.n_cols)) if kept else None
         self.ready = False
         self.bufs = {}  # worker index -> that worker's block buffers
+        self.logw = (None, None)  # the log-weights last handed in, and validated
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the kept cost blocks and the workers' block buffers."""
         return sum(a.nbytes for a in (self.cost, *self.bufs.values()) if a is not None)
 
+    @functools.cached_property
+    def span(self) -> float:
+        """Bound on ``C / eps`` over all pairs: ``diam ** p / eps``, with
+        ``diam`` the diagonal of the joint bounding box of both clouds."""
+        xs, ys = self.xs, self.ys
+        box = np.maximum(xs.max(axis=0), ys.max(axis=0)) - np.minimum(xs.min(axis=0), ys.min(axis=0))
+        sq = float(box @ box)
+        return (np.sqrt(sq) if self.spec.p == 1 else sq) / self.spec.epsilon
 
-def _cost_span(spec: CostSpec, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Bound on ``C / eps`` over all pairs: ``diam ** p / eps``, with ``diam``
-    the diagonal of the joint bounding box of ``xs`` and ``ys``."""
-    box = np.maximum(xs.max(axis=0), ys.max(axis=0)) - np.minimum(xs.min(axis=0), ys.min(axis=0))
-    sq = float(box @ box)
-    return (np.sqrt(sq) if spec.p == 1 else sq) / spec.epsilon
+
+class _OneShot(CostStore):
+    """The store of one call made without a store; ``spec`` may be a kernel."""
+
+    keeps = False
 
 
 def _may_underflow(col: np.ndarray, cost_span: float) -> bool:
@@ -252,34 +261,25 @@ def _blocks(n: int, size: int) -> tuple:
     return tuple((i, min(i + size, n)) for i in range(0, n, size))
 
 
-def _reduce(op, plan, targets, sources, vectors, make_term, *,
-            lse=False, sums=True, grad=False, store=None, may_underflow=None):
-    """The one reduction loop; returns the per-row accumulators ``(mx, acc, gacc)``.
+def _reduce(op, store, vecs, term, *, lse=False, sums=True, grad=False, clamp=False):
+    """The one reduction loop, run on ``store``; returns the per-row
+    accumulators ``(mx, acc, gacc)``.
 
-    ``vectors`` holds ``(name, array, per_row)`` triples, validated to length
-    ``n_rows`` (``per_row``) or ``n_cols`` and passed to ``make_term``. Its
-    block term ``term(sq, aux, r0, r1)`` turns the squared distances ``sq`` of
-    rows ``r0:r1`` in place into ``(weights, scale)``: what is summed along
-    each row, and the per-pair factor turning a coordinate difference into a
-    gradient entry (``aux`` is a spare block buffer when ``grad``). With
-    ``lse`` the weights are first shifted by their exact row maximum ``mx``
-    and exponentiated. ``acc`` holds the row sums of the weights (``sums``),
-    ``gacc`` the row sums of ``diff_k * scale * weights`` (``grad``).
-    Where ``may_underflow(xs, ys)`` (``lse`` without ``grad`` only), called
-    after ``make_term``, is true, the shifted weights are raised to
-    ``EXP_FLOOR`` before the ``exp``.
-
-    With a ``store`` (cost terms only, no ``grad``) a block's ``C / eps`` is
-    read from the store, or built into it on the first call, and passed as
-    ``term(sq, aux, r0, r1, cost)``.
+    The block term ``term(sq, aux, r0, r1)`` turns the squared distances
+    ``sq`` of rows ``r0:r1`` in place into ``(weights, scale)``: what is
+    summed along each row, and the per-pair factor turning a coordinate
+    difference into a gradient entry (``aux`` is a spare block buffer when
+    ``grad``). Where the store keeps costs (cost terms only, no ``grad``), a
+    block's ``C / eps`` is read from it, or built into it on the first call,
+    and passed as ``term(sq, aux, r0, r1, cost)``. With ``lse`` the weights
+    are first shifted by their exact row maximum ``mx``, raised to
+    ``EXP_FLOOR`` if ``clamp``, and exponentiated. ``acc`` holds the row
+    sums of the weights (``sums``), ``gacc`` the row sums of ``diff_k *
+    scale * weights`` (``grad``). ``vecs`` are the call's validated input
+    vectors, counted in its accounting.
     """
-    xs, ys = _points(plan, targets, sources) if store is None else (store.xs, store.ys)
-    cost = None if store is None else store.cost
+    plan, xs, ys, cost = store.plan, store.xs, store.ys, store.cost
     (n, d), m = xs.shape, ys.shape[0]
-    vecs = [_check_vector(name, a, n if per_row else m) for name, a, per_row in vectors]
-    term = make_term(*vecs)
-    clamp = may_underflow is not None and may_underflow(xs, ys)
-
     rb = n if plan.mode == "dense" else min(n, max(1, PAIR_BUDGET // m))
     blocks = _blocks(n, rb)
     tiles = _blocks(m, plan.tile_size)
@@ -288,12 +288,11 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
     gacc = np.zeros((n, d)) if grad else None
     n_buf = 1 + (d > 1 or grad) + grad  # sq; diff for d > 1 or gradients; aux
     workers = min(_WORKERS, len(blocks))
-    buffers = {} if store is None else store.bufs
 
     def work(first):
-        if first not in buffers:
-            buffers[first] = _aligned_empty((n_buf, rb, m))
-        bufs = buffers[first]
+        if first not in store.bufs:
+            store.bufs[first] = _aligned_empty((n_buf, rb, m))
+        bufs = store.bufs[first]
         for r0, r1 in blocks[first::workers]:
             sq, diff, aux = [*bufs[:, : r1 - r0], None, None][:3]
             if cost is None:
@@ -335,11 +334,10 @@ def _reduce(op, plan, targets, sources, vectors, make_term, *,
                 future.result()
     else:
         work(0)
-    if store is not None:
-        store.ready = True
+    store.ready = True
     pair = rb * m * 8
     peak = sum([a.nbytes for a in (xs, ys, *vecs, mx, acc, gacc) if a is not None])
-    peak += workers * n_buf * pair if store is None else store.nbytes
+    peak += store.nbytes
     _record_stats(op, plan, pair, peak)
     return mx, acc, gacc
 
@@ -413,7 +411,7 @@ def _kernel_term(kspec: MmdKernelSpec, w, grad=False):
 
 
 # ---------------------------------------------------------------------------
-# The five reductions: each passes its term to _reduce
+# The five reductions: each validates its vectors and passes its term to _reduce
 # ---------------------------------------------------------------------------
 
 
@@ -428,21 +426,18 @@ def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np
     computed with an exact row maximum shift, so the output is finite for
     any finite inputs. Calls sharing a ``store`` build each cost block once.
     """
-    if store is not None and not (targets is store.targets and sources is store.sources
-                                  and plan == store.plan and spec == store.spec):
+    if store is None:
+        store = _OneShot(plan, targets, sources, spec)
+    elif not (targets is store.targets and sources is store.sources
+              and plan == store.plan and spec == store.spec):
         raise InvalidInput("cost store was made for other points, plan or cost")
-
-    col = None  # logw + pot / eps of the validated vectors, built by make_term
-
-    def make_term(lw, pv):
-        nonlocal col
-        col = lw + pv / spec.epsilon
-        return _cost_term(spec, col)
-
-    mx, acc, _ = _reduce("lse_rows", plan, targets, sources,
-                         (("logw", logw, False), ("pot", pot, False)), make_term, lse=True,
-                         store=store, may_underflow=lambda xs, ys: _may_underflow(
-                             col, _cost_span(spec, xs, ys) if store is None else store._span))
+    if logw is not store.logw[0]:
+        store.logw = (logw, _check_vector("logw", logw, plan.n_cols))
+    logw = store.logw[1]
+    pot = _check_vector("pot", pot, plan.n_cols)
+    col = logw + pot / spec.epsilon
+    mx, acc, _ = _reduce("lse_rows", store, (logw, pot), _cost_term(spec, col), lse=True,
+                         clamp=_may_underflow(col, store.span))
     return mx + np.log(acc)
 
 
@@ -455,9 +450,11 @@ def lse_rows_with_grad(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray,
     ``sum_j softmax_ij * dC(x_i, y_j)/dx_i`` of cost gradients under the
     softmax weights implied by the same terms as :func:`lse_rows`.
     """
-    mx, acc, gacc = _reduce("lse_rows_with_grad", plan, targets, sources,
-                            (("logw", logw, False), ("pot", pot, False)),
-                            lambda lw, pv: _cost_term(spec, lw + pv / spec.epsilon, grad=True),
+    store = _OneShot(plan, targets, sources, spec)
+    logw = _check_vector("logw", logw, plan.n_cols)
+    pot = _check_vector("pot", pot, plan.n_cols)
+    mx, acc, gacc = _reduce("lse_rows_with_grad", store, (logw, pot),
+                            _cost_term(spec, logw + pot / spec.epsilon, grad=True),
                             lse=True, grad=True)
     return mx + np.log(acc), gacc / acc[:, None]
 
@@ -471,9 +468,11 @@ def exp_grad_rows(plan: ReductionPlan, colw_log: np.ndarray, row_pot: np.ndarray
     restored at the end, so the caller is responsible for keeping the true row
     scale within floating-point range (bounded sums are safe).
     """
-    mx, _, gacc = _reduce("exp_grad_rows", plan, targets, sources,
-                          (("colw_log", colw_log, False), ("row_pot", row_pot, True)),
-                          lambda u, rp: _cost_term(spec, u, rp / spec.epsilon, grad=True),
+    store = _OneShot(plan, targets, sources, spec)
+    colw_log = _check_vector("colw_log", colw_log, plan.n_cols)
+    row_pot = _check_vector("row_pot", row_pot, plan.n_rows)
+    mx, _, gacc = _reduce("exp_grad_rows", store, (colw_log, row_pot),
+                          _cost_term(spec, colw_log, row_pot / spec.epsilon, grad=True),
                           lse=True, sums=False, grad=True)
     return np.exp(mx)[:, None] * gacc
 
@@ -481,9 +480,9 @@ def exp_grad_rows(plan: ReductionPlan, colw_log: np.ndarray, row_pot: np.ndarray
 def kernel_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarray,
                 sources: np.ndarray, kspec: MmdKernelSpec) -> np.ndarray:
     """Rows of the kernel convolution: ``out[i] = sum_j w_j k(x_i, y_j)``."""
-    _, acc, _ = _reduce("kernel_rows", plan, targets, sources, (("weights", weights, False),),
-                        lambda w: _kernel_term(kspec, w))
-    return acc
+    store = _OneShot(plan, targets, sources, kspec)
+    w = _check_vector("weights", weights, plan.n_cols)
+    return _reduce("kernel_rows", store, (w,), _kernel_term(kspec, w))[1]
 
 
 def kernel_grad_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarray,
@@ -492,10 +491,10 @@ def kernel_grad_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarr
 
     ``out[i] = sum_j w_j dk(x_i, y_j)/dx_i``, shape ``(n, d)``.
     """
-    _, _, gacc = _reduce("kernel_grad_rows", plan, targets, sources,
-                         (("weights", weights, False),),
-                         lambda w: _kernel_term(kspec, w, grad=True), sums=False, grad=True)
-    return gacc
+    store = _OneShot(plan, targets, sources, kspec)
+    w = _check_vector("weights", weights, plan.n_cols)
+    return _reduce("kernel_grad_rows", store, (w,), _kernel_term(kspec, w, grad=True),
+                   sums=False, grad=True)[2]
 
 
 def softmin(measure: DiscreteMeasure, phi: np.ndarray, spec: CostSpec,

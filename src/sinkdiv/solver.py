@@ -1,16 +1,16 @@
 """Log-domain Sinkhorn iterations for entropy-regularized transport.
 
 The dual problem is solved by alternating soft-minimum updates on a pair of
-potentials ``(f, g)`` living on the two supports. All updates run through the
-tiled reduction engine. Each solve keeps the scaled costs ``C / eps`` its
-first iteration builds, one :class:`engine.CostStore` per direction (8 bytes
-per pair and direction), while the problem has at most ``engine.CACHE_PAIRS``
-pairs; larger problems stream in linear memory. The cross solve's two stores
-hold transposes of each other, bit for bit; each is kept so that every
-iteration reads its blocks contiguously, which measured 1.6 to 3.2 times
-faster per reduction than reading a transposed view (n = 800 to 2048).
-Apart from that, only the explicit diagnostics helpers build a pairwise
-matrix, and they guard its size.
+potentials ``(f, g)`` living on the two supports. Every update is one call of
+the module-level :func:`engine.lse_rows`, which a tracer can rebind, on the
+solve's :class:`engine.CostStore` for that direction. The store checks the
+points and log-weights once per solve and, up to ``engine.CACHE_PAIRS``
+pairs, keeps the ``C / eps`` its first call builds (8 bytes per pair and
+direction); larger problems stream in linear memory. The two stores of a
+cross solve hold bitwise transposes; each is kept so that every iteration
+reads its blocks contiguously, 1.6 to 3.2 times faster per reduction than a
+transposed view (n = 800 to 2048). Apart from the kept costs, only the
+explicit diagnostics helpers build a pairwise matrix, and they guard its size.
 
 Two loops are provided:
 

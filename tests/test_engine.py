@@ -252,7 +252,8 @@ def test_lse_rows_exp_floor_keeps_the_bits_of_unclamped_sums():
     assert all(np.all((s < -707) & (s >= -746)) for s in (tiles[0], tiles[3]))
     assert all(np.all(s < -746) for s in (tiles[1], tiles[4]))
     want = mx + np.log(_tile_sums(np.exp(shifted), tile))
-    assert engine._may_underflow(logw + pot / spec.epsilon, engine._cost_span(spec, xs, ys))
+    assert engine._may_underflow(logw + pot / spec.epsilon,
+                                 engine.CostStore(ReductionPlan(n, m), ys, xs, spec).span)
 
     for mode in ("streaming", "dense"):
         for threads in (1, 2):
@@ -295,8 +296,8 @@ def test_exp_floor_guard_engages_only_where_exp_can_underflow():
         cross = sd.sinkhorn(alpha, beta, params)
         auto = sd.sinkhorn_symmetric(alpha, params)
         xs, ys = alpha.positions, beta.positions
-        return [engine._may_underflow(log_w + pot / spec.epsilon,
-                                      engine._cost_span(spec, rows, cols))
+        return [engine._may_underflow(log_w + pot / spec.epsilon, engine.CostStore(
+                    ReductionPlan(len(rows), len(cols)), cols, rows, spec).span)
                 for log_w, pot, cols, rows in (
                     (beta.log_weights, cross.g, ys, xs),
                     (alpha.log_weights, cross.f, xs, ys),
@@ -430,6 +431,35 @@ def test_shape_mismatch_rejected():
         lse_rows(ReductionPlan(3, 5), np.zeros(4), np.zeros(4), ys, xs, spec)
     with pytest.raises(sd.InvalidInput):
         lse_rows(ReductionPlan(3, 4), np.zeros(4), np.full(4, np.nan), ys, xs, spec)
+
+
+def test_every_vector_of_every_reduction_is_checked_by_name():
+    # 3 rows against 4 columns: row vectors have length 3, column vectors 4
+    rng = np.random.default_rng(804)
+    xs, ys = rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (4, 2))
+    plan, spec, kspec = ReductionPlan(3, 4), sd.CostSpec(2, 0.1), sd.MmdKernelSpec("energy")
+    store = engine.CostStore(plan, ys, xs, spec)
+    # reduction: (call taking its vectors, the vectors' names and lengths)
+    reductions = {
+        "lse_rows": (lambda a, b: lse_rows(plan, a, b, ys, xs, spec), ("logw", 4), ("pot", 4)),
+        "lse_rows, store": (lambda a, b: lse_rows(plan, a, b, ys, xs, spec, store=store),
+                            ("logw", 4), ("pot", 4)),
+        "lse_rows_with_grad": (lambda a, b: lse_rows_with_grad(plan, a, b, ys, xs, spec),
+                               ("logw", 4), ("pot", 4)),
+        "exp_grad_rows": (lambda a, b: exp_grad_rows(plan, a, b, ys, xs, spec),
+                          ("colw_log", 4), ("row_pot", 3)),
+        "kernel_rows": (lambda a: kernel_rows(plan, a, ys, xs, kspec), ("weights", 4)),
+        "kernel_grad_rows": (lambda a: kernel_grad_rows(plan, a, ys, xs, kspec), ("weights", 4)),
+    }
+    for op, (call, *vectors) in reductions.items():
+        good = [np.full(length, 0.25) for _, length in vectors]
+        call(*good)
+        for k, (name, length) in enumerate(vectors):
+            nan = np.full(length, 0.25)
+            nan[-1] = np.nan
+            for bad, what in ((nan, "NaN"), (np.full(length + 1, 0.25), "shape")):
+                with pytest.raises(sd.InvalidInput, match=f"^{name} .*{what}"):
+                    call(*good[:k], bad, *good[k + 1:])
 
 
 def test_empty_support_rejected():

@@ -478,6 +478,48 @@ def test_store_rejects_points_it_was_not_made_for():
             lse_rows(*call, store=store)
 
 
+def test_store_checks_log_weights_once_per_array(monkeypatch):
+    rng = np.random.default_rng(15)
+    alpha, beta = random_measure(rng, 30, 2), random_measure(rng, 20, 2)
+    params = SolverParams(epsilon=0.1, p=2, tol=1e-8)
+    checked = []  # names of the vectors engine._check_vector was handed
+    check_vector = engine._check_vector
+    monkeypatch.setattr(engine, "_check_vector",
+                        lambda name, *a: (checked.append(name), check_vector(name, *a))[1])
+    cross = sinkhorn(alpha, beta, params)
+    # one check of each direction's log-weights, one of each potential
+    assert checked.count("logw") == 2
+    assert checked.count("pot") == 2 * cross.iterations
+    checked.clear()
+    auto = sinkhorn_symmetric(alpha, params)
+    assert (checked.count("logw"), checked.count("pot")) == (1, auto.iterations + 1)
+
+    plan, spec = ReductionPlan(30, 20), params.cost_spec
+    store = engine.CostStore(plan, beta.positions, alpha.positions, spec)
+    args = (beta.positions, alpha.positions, spec)
+    lse_rows(plan, beta.log_weights, np.zeros(20), *args, store=store)
+    bad = beta.log_weights.copy()
+    bad[3] = np.nan
+    with pytest.raises(sd.InvalidInput, match="^logw contains NaN"):
+        lse_rows(plan, bad, np.zeros(20), *args, store=store)
+
+
+def test_solves_make_their_reductions_through_the_module_level_lse_rows(monkeypatch):
+    # perfbench's tracer sees a solve's reductions only through solver.lse_rows
+    rng = np.random.default_rng(16)
+    alpha, beta = random_measure(rng, 30, 2), random_measure(rng, 20, 2)
+    params = SolverParams(epsilon=0.1, p=2, tol=1e-8)
+    calls = []
+    reduce = solver.lse_rows
+    monkeypatch.setattr(solver, "lse_rows",
+                        lambda *a, **kw: (calls.append(1), reduce(*a, **kw))[1])
+    cross = sinkhorn(alpha, beta, params)
+    assert cross.iterations > 1 and len(calls) == 2 * cross.iterations
+    calls.clear()
+    auto = sinkhorn_symmetric(alpha, params)
+    assert auto.iterations > 1 and len(calls) == auto.iterations + 1
+
+
 def test_solve_within_the_cap_accounts_for_its_kept_costs():
     rng = np.random.default_rng(13)
     n, m = 400, 300
