@@ -51,7 +51,6 @@ from .measures import (
     from_arrays,
     load_csv,
     load_json,
-    sample_uniform_interval,
     sample_unit_square,
     save_csv,
     save_json,
@@ -78,7 +77,7 @@ __all__ = [
     "SinkdivError", "InvalidInput", "DegenerateMeasure", "FormatError",
     "IoError", "NumericalFailure", "TooLarge", "GradientUnreliable",
     "DiscreteMeasure", "from_arrays", "load_csv", "save_csv", "load_json",
-    "save_json", "sample_uniform_interval", "sample_unit_square",
+    "save_json", "sample_unit_square",
     "SolverParams", "DualState", "SymmetricDual", "PlanDiagnostics",
     "sinkhorn", "sinkhorn_symmetric", "dual_value", "plan_matrix",
     "plan_diagnostics",

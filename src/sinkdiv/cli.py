@@ -23,17 +23,15 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from statistics import mean, pstdev
 
 from . import engine
-from .costs import MmdKernelSpec
 from .errors import InvalidInput, SinkdivError
 from .flows import FlowConfig, run_flow, write_trajectory
-from .losses import MMD_LOSSES, OT_LOSSES, evaluate
+from .losses import LOSSES, MMD_KINDS, _loss_spec, evaluate
 from .measures import load_csv, load_json, sample_unit_square
 from .solver import SolverParams
-
-LOSS_CHOICES = list(OT_LOSSES) + list(MMD_LOSSES)
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -62,10 +60,11 @@ def _load_measure(path: str, fmt: str):
 
 
 def _loss_options(args) -> dict:
-    """The solver parameters or the kernel that ``args.loss`` needs, as the
-    ``params=`` or ``kernel=`` keyword of :func:`losses.evaluate`."""
-    if args.loss not in OT_LOSSES:
-        return {"kernel": MmdKernelSpec(kind=args.loss.split("-", 1)[1], sigma=args.sigma)}
+    """The solver parameters or the kernel that ``args.loss`` runs on, as the
+    ``params=`` or ``kernel=`` keyword of :func:`losses.evaluate`: an MMD
+    loss's own kernel at bandwidth ``--sigma``, else parameters from ``--eps``."""
+    if args.loss in MMD_KINDS:
+        return {"kernel": replace(_loss_spec(args.loss), sigma=args.sigma)}
     if args.eps is None:
         raise InvalidInput(f"--eps is required for loss {args.loss!r}")
     return {"params": SolverParams(epsilon=args.eps, p=args.p, tol=args.tol,
@@ -78,8 +77,8 @@ def _divergence_payload(loss: str, args, value: float, infos: dict) -> dict:
     return {
         "loss": loss,
         "value": value,
-        "eps": args.eps if loss in OT_LOSSES else None,
-        "p": args.p if loss in OT_LOSSES else None,
+        "eps": None if loss in MMD_KINDS else args.eps,
+        "p": None if loss in MMD_KINDS else args.p,
         "iterations": {k: i["iterations"] for k, i in infos.items()},
         "residual": residual,
         "converged": converged,
@@ -148,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("measure_b", help="target measure file")
             p.add_argument("--format", choices=["auto", "csv", "json"], default="auto",
                            help="measure file format (default: by extension)")
-        p.add_argument("--loss", choices=LOSS_CHOICES, default="sinkhorn")
+        p.add_argument("--loss", choices=list(LOSSES), default="sinkhorn")
         p.add_argument("--eps", type=float, default=None,
                        help="blur scale for transport losses (raw cost units)")
         p.add_argument("--p", type=int, choices=[1, 2], default=2,
@@ -169,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--dt", type=float, default=1e-2)
     p_flow.add_argument("--t-end", type=float, default=5.0)
     p_flow.add_argument("--record", type=str, default=None,
-                        help="comma-separated snapshot times "
-                             "(default: standard times clipped to --t-end)")
+                        help="comma-separated snapshot times; 0 and --t-end are "
+                             "always recorded (default: standard times clipped "
+                             "to --t-end)")
     p_flow.add_argument("--seed", type=int, default=None)
     p_flow.add_argument("--out", required=True, help="output directory")
     p_flow.set_defaults(fn=cmd_flow)

@@ -102,9 +102,7 @@ def sq_dist_block(xs: np.ndarray, ys: np.ndarray, out=None, work=None) -> np.nda
     """
     n, m, d = xs.shape[0], ys.shape[0], xs.shape[1]
     out = np.empty((n, m)) if out is None else out
-    if d == 0:
-        out.fill(0.0)
-    elif d > 1 and work is None:
+    if d > 1 and work is None:
         work = np.empty((n, m))
     for k in range(d):
         term = out if k == 0 else work

@@ -167,8 +167,8 @@ def _record_stats(op, plan, pair, peak):
 
 def _check_points(name: str, arr: np.ndarray) -> np.ndarray:
     a = np.asarray(arr, dtype=np.float64)
-    if a.ndim != 2:
-        raise InvalidInput(f"{name} must be (n, d), got shape {a.shape}")
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise InvalidInput(f"{name} must be (n, d) with d >= 1, got shape {a.shape}")
     if a.shape[0] == 0:
         raise DegenerateMeasure(f"{name} has no points")
     if not np.isfinite(a).all():
@@ -256,11 +256,6 @@ def _aligned_empty(shape) -> np.ndarray:
     return raw[start:start + raw.size - 7].reshape(shape)
 
 
-@functools.lru_cache(maxsize=64)
-def _blocks(n: int, size: int) -> tuple:
-    return tuple((i, min(i + size, n)) for i in range(0, n, size))
-
-
 def _reduce(op, store, vecs, term, *, lse=False, sums=True, grad=False, clamp=False):
     """The one reduction loop, run on ``store``; returns the per-row
     accumulators ``(mx, acc, gacc)``.
@@ -281,19 +276,19 @@ def _reduce(op, store, vecs, term, *, lse=False, sums=True, grad=False, clamp=Fa
     plan, xs, ys, cost = store.plan, store.xs, store.ys, store.cost
     (n, d), m = xs.shape, ys.shape[0]
     rb = n if plan.mode == "dense" else min(n, max(1, PAIR_BUDGET // m))
-    blocks = _blocks(n, rb)
-    tiles = _blocks(m, plan.tile_size)
+    tile = plan.tile_size
     mx = np.empty(n) if lse else None
     acc = np.zeros(n) if sums else None
     gacc = np.zeros((n, d)) if grad else None
     n_buf = 1 + (d > 1 or grad) + grad  # sq; diff for d > 1 or gradients; aux
-    workers = min(_WORKERS, len(blocks))
+    workers = min(_WORKERS, -(-n // rb))  # at most one per row block
 
     def work(first):
         if first not in store.bufs:
             store.bufs[first] = _aligned_empty((n_buf, rb, m))
         bufs = store.bufs[first]
-        for r0, r1 in blocks[first::workers]:
+        for r0 in range(first * rb, n, workers * rb):
+            r1 = min(r0 + rb, n)
             sq, diff, aux = [*bufs[:, : r1 - r0], None, None][:3]
             if cost is None:
                 sq_dist_block(xs[r0:r1], ys, out=sq, work=diff)
@@ -313,15 +308,15 @@ def _reduce(op, store, vecs, term, *, lse=False, sums=True, grad=False, clamp=Fa
                 np.exp(weights, out=weights)
             if sums:
                 row_acc = acc[r0:r1]
-                for j0, j1 in tiles:
-                    row_acc += weights[:, j0:j1].sum(axis=1)
+                for j0 in range(0, m, tile):
+                    row_acc += weights[:, j0:j0 + tile].sum(axis=1)
             for k in range(d if grad else 0):
                 np.subtract(xs[r0:r1, k, None], ys[None, :, k], out=diff)
                 np.multiply(diff, scale, out=diff)
                 np.multiply(diff, weights, out=diff)
                 row_acc = gacc[r0:r1, k]
-                for j0, j1 in tiles:
-                    row_acc += diff[:, j0:j1].sum(axis=1)
+                for j0 in range(0, m, tile):
+                    row_acc += diff[:, j0:j0 + tile].sum(axis=1)
 
     if workers > 1:
         # the caller is worker 0 (an idle pool thread would take the next

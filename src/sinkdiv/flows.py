@@ -10,8 +10,9 @@ the step independent of how finely the mass is discretized). Transport
 losses warm-start their dual solves from the previous step, so each step
 after the first typically converges in a few iterations.
 
-Frames are recorded at the Euler step nearest each requested time; the loss
-value at every step is kept as the flow's descent curve.
+Frames are recorded at the Euler step nearest each requested time, and
+always at both ends of the flow; the loss value at every step is kept as
+the flow's descent curve.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .costs import MmdKernelSpec
 from .errors import GradientUnreliable, InvalidInput, IoError, NumericalFailure
-from .losses import MMD_LOSSES, OT_LOSSES, evaluate
+from .losses import _loss_spec, evaluate
 from .measures import DiscreteMeasure, _csv_text, _write_text, from_arrays
 from .solver import SolverParams
 
@@ -38,9 +39,11 @@ DEFAULT_RECORD_TIMES = (0.0, 0.25, 0.5, 1.0, 5.0)
 class FlowConfig:
     """What to descend, how fast, and which snapshots to keep.
 
-    ``record_times`` must lie within ``[0, t_end]``; each is mapped to the
-    nearest Euler step. ``seed`` is provenance for whoever sampled the
-    initial particles and is stored in trajectory manifests.
+    ``loss``, ``params`` and ``kernel`` must meet the rule of
+    :func:`losses.evaluate`. ``record_times`` must lie within ``[0, t_end]``;
+    each is mapped to the nearest Euler step, and both endpoints are always
+    recorded. ``seed`` is provenance for whoever sampled the initial
+    particles and is stored in trajectory manifests.
     """
 
     loss: str
@@ -52,10 +55,7 @@ class FlowConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.loss not in OT_LOSSES + MMD_LOSSES:
-            raise InvalidInput(f"unknown loss {self.loss!r}")
-        if self.loss in OT_LOSSES and self.params is None:
-            raise InvalidInput(f"loss {self.loss!r} needs solver parameters")
+        _loss_spec(self.loss, self.params, self.kernel)
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise InvalidInput(f"dt must be positive, got {self.dt}")
         if not np.isfinite(self.t_end) or self.t_end < 0:
@@ -68,11 +68,11 @@ class FlowConfig:
                     )
 
     def effective_record_times(self) -> tuple:
-        """Snapshot times actually used: explicit ones, or the standard set
-        clipped to the horizon with the endpoints always present."""
-        if self.record_times is not None:
-            return tuple(self.record_times)
-        times = [t for t in DEFAULT_RECORD_TIMES if t <= self.t_end]
+        """Snapshot times actually used, sorted: the explicit ones, or else the
+        standard set clipped to the horizon, plus both endpoints."""
+        times = self.record_times
+        if times is None:
+            times = [t for t in DEFAULT_RECORD_TIMES if t <= self.t_end]
         return tuple(sorted(set(times) | {0.0, self.t_end}))
 
 
@@ -93,11 +93,13 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
              config: FlowConfig) -> FlowTrajectory:
     """Integrate the particle flow and return its trajectory.
 
-    With ``t_end == 0`` no step is taken and the trajectory holds the single
-    initial frame. A step whose loss value, force or new positions are not
-    finite raises ``NumericalFailure``. If a step fails with
-    ``GradientUnreliable`` or ``NumericalFailure``, the exception is
-    re-raised with the partial trajectory attached as ``exc.trajectory``.
+    The first frame is the initial state and the last is the state after
+    the last Euler step; with ``t_end == 0`` no step is taken and the
+    trajectory holds the single initial frame. A step whose loss value,
+    force or new positions are not finite raises ``NumericalFailure``. If a
+    step fails with ``GradientUnreliable`` or ``NumericalFailure``, the
+    exception is re-raised with the partial trajectory attached as
+    ``exc.trajectory``.
     """
     n = alpha0.n_atoms
     weights = alpha0.weights
@@ -106,8 +108,6 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
     # map each record time to its nearest Euler step
     wanted = {min(int(round(t / config.dt)), n_steps)
               for t in config.effective_record_times()}
-    if n_steps == 0 or not wanted:
-        wanted = {0}
 
     frames: list = []
     loss_curve: list = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import MmdKernelSpec
+from .costs import KERNEL_KINDS, MmdKernelSpec
 from .engine import (
     ReductionPlan,
     exp_grad_rows,
@@ -60,10 +60,6 @@ __all__ = [
     "sinkhorn_gradient",
     "mmd_gradient",
 ]
-
-OT_LOSSES = ("ot_eps", "sinkhorn", "hausdorff")
-MMD_LOSSES = ("mmd-energy", "mmd-gaussian", "mmd-laplacian")
-
 
 @dataclass(frozen=True)
 class LossValue:
@@ -132,13 +128,14 @@ def evaluate(loss: str, alpha: DiscreteMeasure, beta: DiscreteMeasure, *,
              warm: dict | None = None, want_value: bool = True, want_grad: bool = False):
     """Value and gradient of one loss in ``alpha``, from one set of solves.
 
-    ``loss`` is one of ``ot_eps``, ``sinkhorn``, ``hausdorff``, which need
-    ``params``, or ``mmd-energy``, ``mmd-gaussian``, ``mmd-laplacian``,
-    whose ``kernel`` defaults to that family at unit bandwidth. Only the
-    solves and reductions that ``want_value`` and ``want_grad`` need are
-    run: the ``sinkhorn`` gradient alone solves no self-transport problem of
-    ``beta``, and the MMD gradient alone makes no kernel pass of ``beta``
-    against itself.
+    ``loss`` is a key of :data:`LOSSES`. ``ot_eps``, ``sinkhorn`` and
+    ``hausdorff`` need ``params`` and take no ``kernel``; ``mmd-KIND``
+    takes no ``params``, and its ``kernel`` must be of kind ``KIND`` and
+    defaults to it at unit bandwidth; any other combination raises
+    :class:`InvalidInput`. Only the solves and reductions that
+    ``want_value`` and ``want_grad`` need are run: the ``sinkhorn`` gradient
+    alone solves no self-transport problem of ``beta``, and the MMD gradient
+    alone makes no kernel pass of ``beta`` against itself.
     Transport losses accept and return a ``warm`` dict of potentials that
     warm-starts the next evaluation on slightly moved points.
 
@@ -162,27 +159,32 @@ def evaluate(loss: str, alpha: DiscreteMeasure, beta: DiscreteMeasure, *,
     """
     if alpha.dim != beta.dim:
         raise InvalidInput(f"dimension mismatch: {alpha.dim} vs {beta.dim}")
-    warm = warm or {}
-    if loss in MMD_LOSSES:
-        if kernel is None:
-            kernel = MmdKernelSpec(kind=loss.removeprefix("mmd-"))
-        elif loss != f"mmd-{kernel.kind}":
-            raise InvalidInput(f"kernel spec {kernel.kind!r} does not match loss {loss!r}")
-        value, parts, warm_out, states = _mmd(alpha, beta, kernel, want_value, want_grad)
-    elif loss in OT_LOSSES:
-        if params is None:
-            raise InvalidInput(f"loss {loss!r} needs solver parameters")
-        run = {"ot_eps": _ot_eps, "sinkhorn": _sinkhorn, "hausdorff": _hausdorff}[loss]
-        value, parts, warm_out, states = run(alpha, beta, params, warm,
-                                             want_value, want_grad)
-    else:
-        raise InvalidInput(f"unknown loss {loss!r}")
+    spec = _loss_spec(loss, params, kernel)
+    value, parts, warm_out, states = LOSSES[loss](alpha, beta, spec, warm or {},
+                                                  want_value, want_grad)
     diagnostics = {name: _info(state) for name, state in states.items()}
     gradient = None
     if want_grad:
         gradient = LossGradient(*parts, diagnostics=diagnostics)
         _require_converged(states, gradient)
     return value, gradient, warm_out, diagnostics
+
+
+def _loss_spec(loss: str, params: SolverParams | None = None,
+               kernel: MmdKernelSpec | None = None):
+    """The spec that ``loss`` runs on, by the rule of :func:`evaluate`;
+    raises :class:`InvalidInput` for any combination that rule rejects."""
+    kind = MMD_KINDS.get(loss)
+    spec, unused = (params, kernel) if kind is None else (kernel or MmdKernelSpec(kind), params)
+    if loss not in LOSSES:
+        raise InvalidInput(f"unknown loss {loss!r}")
+    if spec is None:
+        raise InvalidInput(f"loss {loss!r} needs solver parameters")
+    if kind is not None and spec.kind != kind:
+        raise InvalidInput(f"kernel spec {spec.kind!r} does not match loss {loss!r}")
+    if unused is not None:
+        raise InvalidInput(f"loss {loss!r} does not run on {type(unused).__name__}")
+    return spec
 
 
 def _ot_eps(alpha, beta, params, warm, want_value, want_grad):
@@ -264,7 +266,7 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
     return value, grad, {"p": p, "q": q}, {"alpha_auto": auto_a, "beta_auto": auto_b}
 
 
-def _mmd(alpha, beta, kernel, want_value, want_grad):
+def _mmd(alpha, beta, kernel, warm, want_value, want_grad):
     n, m = alpha.n_atoms, beta.n_atoms
     wa, wb = alpha.weights, beta.weights
     xs, ys = alpha.positions, beta.positions
@@ -284,6 +286,13 @@ def _mmd(alpha, beta, kernel, want_value, want_grad):
         grad_cross = kernel_grad_rows(ReductionPlan(n, m), wb, ys, xs, kernel)
         grad = rows_auto - rows_cross, wa[:, None] * (grad_auto - grad_cross)
     return value, grad, {}, {}
+
+
+# every loss by name, with the runner that evaluates it on the spec from
+# _loss_spec; the MMD losses are named after their kernel kinds
+MMD_KINDS = {f"mmd-{kind}": kind for kind in KERNEL_KINDS}
+LOSSES = {"ot_eps": _ot_eps, "sinkhorn": _sinkhorn, "hausdorff": _hausdorff,
+          **dict.fromkeys(MMD_KINDS, _mmd)}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "save_csv",
     "load_json",
     "save_json",
-    "sample_uniform_interval",
     "sample_unit_square",
 ]
 
@@ -58,8 +57,8 @@ def from_arrays(weights, positions) -> DiscreteMeasure:
 
     Zero-weight atoms are dropped and the remaining weights renormalized to
     total mass one. Raises ``InvalidInput`` for negative, NaN or infinite
-    entries or mismatched lengths, and ``DegenerateMeasure`` if no atom
-    survives filtering.
+    entries, mismatched lengths or points without coordinates, and
+    ``DegenerateMeasure`` if no atom survives filtering.
     """
     w = np.asarray(weights, dtype=np.float64)
     x = np.asarray(positions, dtype=np.float64)
@@ -67,8 +66,8 @@ def from_arrays(weights, positions) -> DiscreteMeasure:
         raise InvalidInput(f"weights must be one-dimensional, got shape {w.shape}")
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2:
-        raise InvalidInput(f"positions must be (n, d), got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise InvalidInput(f"positions must be (n, d) with d >= 1, got shape {x.shape}")
     if w.shape[0] != x.shape[0]:
         raise InvalidInput(
             f"{w.shape[0]} weights but {x.shape[0]} positions"
@@ -188,17 +187,6 @@ def save_json(measure: DiscreteMeasure, path) -> None:
         "positions": measure.positions.tolist(),
     }
     _write_text(path, json.dumps(payload) + "\n")
-
-
-def sample_uniform_interval(n: int, lo: float, hi: float, seed=None) -> DiscreteMeasure:
-    """Uniform weights on ``n`` i.i.d. points drawn uniformly from [lo, hi]."""
-    if n < 1:
-        raise DegenerateMeasure(f"need at least one sample, got n={n}")
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise InvalidInput(f"need finite lo < hi, got [{lo}, {hi}]")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(n, 1))
-    return from_arrays(np.full(n, 1.0 / n), pts)
 
 
 def sample_unit_square(n: int, seed=None) -> DiscreteMeasure:

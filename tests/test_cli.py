@@ -114,6 +114,14 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_points_without_coordinates_exit_2(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text('{"weights": [1, 1], "positions": [[], []]}\n')
+    assert main(["divergence", str(path), str(path), "--loss", "mmd-energy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "d >= 1" in captured.err
+
+
 def test_transport_loss_without_eps_exits_2(measure_files, capsys):
     a, b = measure_files
     assert main(["divergence", a, b, "--loss", "sinkhorn"]) == 2

@@ -83,6 +83,16 @@ def test_kernel_spec_validation():
         sd.MmdKernelSpec("gaussian", sigma=0.0)
 
 
+@pytest.mark.parametrize("x, y, match", [
+    ([0.0, 0.0], [0.0], "point dimensions differ"),
+    ([np.nan], [0.0], "NaN or infinite"),
+    ([0.0], [np.inf], "NaN or infinite"),
+], ids=["mismatched", "nan", "infinite"])
+def test_scalar_cost_rejects_bad_points(x, y, match):
+    with pytest.raises(sd.InvalidInput, match=match):
+        sd.cost(sd.CostSpec(2, 1.0), x, y)
+
+
 # ---------------------------------------------------------------------------
 # scalar values
 # ---------------------------------------------------------------------------

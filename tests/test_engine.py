@@ -433,6 +433,27 @@ def test_shape_mismatch_rejected():
         lse_rows(ReductionPlan(3, 4), np.zeros(4), np.full(4, np.nan), ys, xs, spec)
 
 
+def _lse_on(targets, sources):
+    return lse_rows(ReductionPlan(len(sources), len(targets)), np.zeros(len(targets)),
+                    np.zeros(len(targets)), targets, sources, sd.CostSpec(2, 1.0))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: soft_min([0.5, 0.5], [0.0], 1.0), sd.InvalidInput, "matching vectors"),
+    (lambda: soft_min([], [], 1.0), sd.DegenerateMeasure, "empty support"),
+    (lambda: soft_min([1.0], [np.nan], 1.0), sd.InvalidInput, "NaN"),
+    (lambda: soft_min([1.0, 0.0], [0.0, 1.0], 1.0), sd.InvalidInput, "strictly positive"),
+    (lambda: soft_min([1.0], [0.0], 0.0), sd.InvalidInput, "epsilon"),
+    (lambda: _lse_on(np.zeros(4), np.zeros((3, 2))), sd.InvalidInput, r"^targets must be \(n, d\)"),
+    (lambda: _lse_on(np.zeros((4, 2)), np.zeros((3, 3))), sd.InvalidInput, "dimension mismatch"),
+    (lambda: _lse_on(np.zeros((4, 0)), np.zeros((3, 0))), sd.InvalidInput, "d >= 1"),
+], ids=["soft-min-shapes", "soft-min-empty", "soft-min-nan", "soft-min-weight",
+        "soft-min-epsilon", "1d-points", "mismatched-dimensions", "0d-points"])
+def test_input_checks_raise_their_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_every_vector_of_every_reduction_is_checked_by_name():
     # 3 rows against 4 columns: row vectors have length 3, column vectors 4
     rng = np.random.default_rng(804)

@@ -95,6 +95,20 @@ def test_record_times_map_to_nearest_step():
     assert times == pytest.approx([0.0, 0.3, 1.0])
 
 
+@pytest.mark.parametrize("record_times", [(0.0, 0.5), (), None],
+                         ids=["without-end", "empty", "default"])
+def test_final_positions_are_the_state_the_flow_ends_at(record_times):
+    alpha, beta = _segment_pair(n=6)
+    config = FlowConfig(loss="mmd-energy", dt=0.1, t_end=1.0, record_times=record_times)
+    traj = run_flow(alpha, beta, config)
+    x = alpha.positions
+    for _ in range(10):
+        grad = sd.mmd_gradient(sd.from_arrays(alpha.weights, x), beta, sd.MmdKernelSpec("energy"))
+        x = x - 0.1 * 6 * grad.d_positions
+    assert traj.frames[0][0] == 0.0 and traj.frames[-1][0] == pytest.approx(1.0)
+    assert np.array_equal(traj.final_positions, x)
+
+
 def test_default_record_times_clip_to_the_horizon():
     config = FlowConfig(loss="mmd-energy", dt=0.25, t_end=2.0)
     assert config.effective_record_times() == (0.0, 0.25, 0.5, 1.0, 2.0)
@@ -294,6 +308,14 @@ def test_diverging_mmd_flow_is_a_numerical_failure():
     assert len(traj.frames) == 1
 
 
+def test_trajectory_into_a_file_path_raises_io_error(tmp_path):
+    alpha, beta = _segment_pair(n=4)
+    traj = run_flow(alpha, beta, FlowConfig(loss="mmd-energy", t_end=0.0))
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    with pytest.raises(sd.IoError, match="cannot prepare"):
+        write_trajectory(traj, tmp_path / "taken")
+
+
 def test_flow_config_validation():
     with pytest.raises(sd.InvalidInput):
         FlowConfig(loss="unknown")
@@ -301,6 +323,8 @@ def test_flow_config_validation():
         FlowConfig(loss="sinkhorn")  # transport loss needs solver params
     with pytest.raises(sd.InvalidInput):
         FlowConfig(loss="mmd-energy", dt=0.0)
+    with pytest.raises(sd.InvalidInput, match="t_end must be nonnegative"):
+        FlowConfig(loss="mmd-energy", t_end=-1)
     with pytest.raises(sd.InvalidInput):
         FlowConfig(loss="mmd-energy", t_end=1.0, record_times=(0.0, 2.0))
 

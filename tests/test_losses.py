@@ -275,6 +275,35 @@ def test_loss_dispatch_validation():
         evaluate("mmd-energy", alpha, beta, kernel=sd.MmdKernelSpec("gaussian"))
 
 
+BAD_LOSS_SPECS = {
+    "unknown loss": ("wasserstein", TIGHT, None),
+    "missing params": ("hausdorff", None, None),
+    "wrong kernel kind": ("mmd-energy", None, sd.MmdKernelSpec("gaussian")),
+    "params on an MMD loss": ("mmd-laplacian", TIGHT, None),
+    "kernel on a transport loss": ("sinkhorn", TIGHT, sd.MmdKernelSpec("energy")),
+}
+
+
+def test_cli_loss_choices_are_the_loss_table():
+    from sinkdiv.cli import build_parser
+    from sinkdiv.losses import LOSSES
+
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    for name, parser in commands.choices.items():
+        loss = next(a for a in parser._actions if a.dest == "loss")
+        assert loss.choices == list(LOSSES), name
+
+
+@pytest.mark.parametrize("loss, params, kernel", BAD_LOSS_SPECS.values(),
+                         ids=BAD_LOSS_SPECS.keys())
+def test_flows_and_evaluate_reject_the_same_loss_specs(loss, params, kernel):
+    alpha, beta, _ = random_pair(seed=39, max_n=6)
+    with pytest.raises(sd.InvalidInput):
+        evaluate(loss, alpha, beta, params=params, kernel=kernel)
+    with pytest.raises(sd.InvalidInput):
+        sd.FlowConfig(loss=loss, params=params, kernel=kernel)
+
+
 def test_dimension_mismatch_rejected_by_losses():
     a = sd.from_arrays([1.0], [[0.0]])
     b = sd.from_arrays([1.0], [[0.0, 1.0]])

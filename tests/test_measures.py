@@ -49,6 +49,39 @@ def test_from_arrays_rejects_bad_inputs():
         sd.from_arrays([0.0, 0.0], [[0.0], [1.0]])       # no mass at all
 
 
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tmp: sd.from_arrays([[1.0]], [[0.0]]), sd.InvalidInput, "one-dimensional"),
+    (lambda tmp: sd.from_arrays([1.0], np.zeros((1, 1, 1))), sd.InvalidInput, r"\(n, d\)"),
+    (lambda tmp: sd.from_arrays([0.5, 0.5], np.zeros((2, 0))), sd.InvalidInput, "d >= 1"),
+    (lambda tmp: sd.load_json(_file(tmp, "z.json", '{"weights": [1, 1], "positions": [[], []]}')),
+     sd.InvalidInput, "d >= 1"),
+    (lambda tmp: sd.load_csv(_file(tmp, "empty.csv", "")), sd.FormatError, "no data rows"),
+    (lambda tmp: sd.load_csv(_file(tmp, "header.csv", "weight,x\n")), sd.FormatError,
+     "no data rows after header"),
+    (lambda tmp: sd.load_csv(_file(tmp, "one.csv", "0.5\n0.5\n")), sd.FormatError,
+     "at least one coordinate"),
+    (lambda tmp: sd.load_json(_file(tmp, "ragged.json",
+                                    '{"weights": [1, 1], "positions": [[0.0], [1.0, 2.0]]}')),
+     sd.FormatError, "ragged.json"),
+    (lambda tmp: sd.load_json(_file(tmp, "negative.json",
+                                    '{"weights": [1.5, -0.5], "positions": [[0.0], [1.0]]}')),
+     sd.InvalidInput, "nonnegative"),
+    (lambda tmp: sd.save_csv(sd.from_arrays([1.0], [[0.0]]), tmp), sd.IoError, "cannot write"),
+    (lambda tmp: sd.sample_unit_square(0), sd.DegenerateMeasure, "at least one sample"),
+], ids=["2d-weights", "3d-positions", "0d-positions", "0d-json", "empty-csv",
+        "header-only-csv", "one-column-csv", "ragged-json", "negative-json-weight",
+        "save-onto-directory", "no-samples"])
+def test_input_checks_raise_their_error(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+
+
 def test_log_weights_match_weights():
     m = sd.from_arrays([1.0, 3.0], [[0.0], [1.0]])
     assert np.allclose(np.exp(m.log_weights), m.weights)
@@ -153,17 +186,6 @@ def test_json_malformed_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
-
-
-def test_interval_sampler_is_seeded_and_bounded():
-    a = sd.sample_uniform_interval(50, 0.2, 0.7, seed=4)
-    b = sd.sample_uniform_interval(50, 0.2, 0.7, seed=4)
-    c = sd.sample_uniform_interval(50, 0.2, 0.7, seed=5)
-    assert np.array_equal(a.positions, b.positions)
-    assert not np.array_equal(a.positions, c.positions)
-    assert a.dim == 1
-    assert a.positions.min() >= 0.2 and a.positions.max() <= 0.7
-    assert np.allclose(a.weights, 1.0 / 50)
 
 
 def test_square_sampler_is_seeded_and_bounded():

@@ -672,6 +672,19 @@ def test_dimension_mismatch_rejected():
         sinkhorn(a, b, SolverParams(epsilon=1.0, p=2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda a, b: dual_value(a, b, np.zeros(3), np.zeros(1)),
+    lambda a, b: dual_value(a, b, np.zeros(2), np.zeros((1, 1))),
+    lambda a, b: plan_matrix(a, b, np.zeros(1), np.zeros(1), sd.CostSpec(2, 1.0)),
+    lambda a, b: plan_matrix(a, b, np.zeros(2), np.zeros(2), sd.CostSpec(2, 1.0)),
+], ids=["dual-value-f", "dual-value-g", "plan-matrix-f", "plan-matrix-g"])
+def test_potential_shapes_must_match_the_supports(call):
+    a = sd.from_arrays([0.5, 0.5], [[0.0], [1.0]])
+    b = sd.from_arrays([1.0], [[0.5]])
+    with pytest.raises(sd.InvalidInput, match="potential shapes"):
+        call(a, b)
+
+
 def test_bad_warm_start_rejected():
     a = sd.from_arrays([0.5, 0.5], [[0.0], [1.0]])
     b = sd.from_arrays([1.0], [[0.5]])
