@@ -38,6 +38,9 @@ its term; one private function, :func:`_reduce`, does the rest:
   the first rescales by ``exp(mx)``, which can lift a raised term back to
   order 1, and the second sums a gradient with no unit term (exactly 0 in a
   self-extension of separated atoms would become about 1e-306).
+* :func:`kernel_grad_rows` takes the kernel rows and their gradient from one
+  pass: its term gives the row weights ``w_j k_ij``, with the bits of
+  :func:`kernel_rows`, and the gradient sums take the weights ``w_j``.
 
 Every output row thus goes through the same arithmetic in the same order
 whatever the mode, the row block or the :func:`set_threads` worker count,
@@ -260,17 +263,18 @@ def _reduce(op, store, vecs, term, *, lse=False, sums=True, grad=False, clamp=Fa
     """The one reduction loop, run on ``store``; returns the per-row
     accumulators ``(mx, acc, gacc)``.
 
-    The block term ``term(sq, aux, r0, r1)`` turns the squared distances
-    ``sq`` of rows ``r0:r1`` in place into ``(weights, scale)``: what is
-    summed along each row, and the per-pair factor turning a coordinate
-    difference into a gradient entry (``aux`` is a spare block buffer when
-    ``grad``). Where the store keeps costs (cost terms only, no ``grad``), a
-    block's ``C / eps`` is read from it, or built into it on the first call,
-    and passed as ``term(sq, aux, r0, r1, cost)``. With ``lse`` the weights
-    are first shifted by their exact row maximum ``mx``, raised to
-    ``EXP_FLOOR`` if ``clamp``, and exponentiated. ``acc`` holds the row
-    sums of the weights (``sums``), ``gacc`` the row sums of ``diff_k *
-    scale * weights`` (``grad``). ``vecs`` are the call's validated input
+    The block term ``term(sq, diff, aux, r0, r1)`` turns the squared
+    distances ``sq`` of rows ``r0:r1`` in place into ``(weights, scale,
+    gweights)``: what is summed along each row, the per-pair factor turning
+    a coordinate difference into a gradient entry, and the weights of the
+    gradient sums (``diff``, free until those sums, and ``aux`` are spare
+    block buffers when ``grad``). Where the store keeps costs (cost terms
+    only, no ``grad``), a block's ``C / eps`` is read from it, or built into
+    it on the first call, and passed as the term's last argument ``cost``.
+    With ``lse`` the weights are first shifted by their exact row maximum
+    ``mx``, raised to ``EXP_FLOOR`` if ``clamp``, and exponentiated. ``acc``
+    holds the row sums of the weights (``sums``), ``gacc`` those of ``diff_k
+    * scale * gweights`` (``grad``). ``vecs`` are the call's validated input
     vectors, counted in its accounting.
     """
     plan, xs, ys, cost = store.plan, store.xs, store.ys, store.cost
@@ -292,13 +296,13 @@ def _reduce(op, store, vecs, term, *, lse=False, sums=True, grad=False, clamp=Fa
             sq, diff, aux = [*bufs[:, : r1 - r0], None, None][:3]
             if cost is None:
                 sq_dist_block(xs[r0:r1], ys, out=sq, work=diff)
-                weights, scale = term(sq, aux, r0, r1)
+                weights, scale, gweights = term(sq, diff, aux, r0, r1)
             else:
                 block = cost[r0:r1]
                 if not store.ready:
                     sq_dist_block(xs[r0:r1], ys, out=block, work=diff)
                     _scaled_cost(store.spec, block)
-                weights, scale = term(sq, aux, r0, r1, block)
+                weights, scale, gweights = term(sq, diff, aux, r0, r1, block)
             if lse:
                 row_max = weights.max(axis=1)
                 mx[r0:r1] = row_max
@@ -313,7 +317,7 @@ def _reduce(op, store, vecs, term, *, lse=False, sums=True, grad=False, clamp=Fa
             for k in range(d if grad else 0):
                 np.subtract(xs[r0:r1, k, None], ys[None, :, k], out=diff)
                 np.multiply(diff, scale, out=diff)
-                np.multiply(diff, weights, out=diff)
+                np.multiply(diff, gweights, out=diff)
                 row_acc = gacc[r0:r1, k]
                 for j0 in range(0, m, tile):
                     row_acc += diff[:, j0:j0 + tile].sum(axis=1)
@@ -361,7 +365,7 @@ def _cost_term(spec: CostSpec, col, row=None, grad=False):
     ``row``; with ``grad`` the scale is that of ``dC(x_i, y_j)/dx_i``. Given
     a kept block ``cost`` of ``C / eps``, ``sq`` only receives the terms."""
 
-    def term(sq, aux, r0, r1, cost=None):
+    def term(sq, diff, aux, r0, r1, cost=None):
         scale = None
         if cost is None:
             scale = _scaled_cost(spec, sq, aux if grad else None)
@@ -371,36 +375,37 @@ def _cost_term(spec: CostSpec, col, row=None, grad=False):
         else:
             np.subtract(row[r0:r1, None], cost, out=sq)
             np.add(col, sq, out=sq)
-        return sq, scale
+        return sq, scale, sq
 
     return term
 
 
 def _kernel_term(kspec: MmdKernelSpec, w, grad=False):
-    """Term ``w_j k(x_i, y_j)``; with ``grad`` the weights are ``w`` and the
-    scale is that of ``dk(x_i, y_j)/dx_i``."""
+    """Term ``w_j k(x_i, y_j)``; with ``grad`` also the scale of
+    ``dk(x_i, y_j)/dx_i``, whose gradient sums take the weights ``w``."""
     kind, s = kspec.kind, kspec.sigma
 
-    def term(sq, aux, r0, r1):
+    def term(sq, diff, aux, r0, r1):
         if kind == "gaussian":
             np.multiply(sq, -0.5 / s**2, out=sq)
             np.exp(sq, out=sq)
-            if grad:
-                return w, np.multiply(sq, -1.0 / s**2, out=sq)
         else:
             np.sqrt(sq, out=sq)
             inv = _inverse(sq, aux) if grad else None
             if kind == "energy":
-                if grad:
-                    return w, np.negative(inv, out=inv)
                 np.negative(sq, out=sq)
             else:
                 np.multiply(sq, -1.0 / s, out=sq)
                 np.exp(sq, out=sq)
-                if grad:
-                    np.multiply(sq, -1.0 / s, out=sq)
-                    return w, np.multiply(sq, inv, out=sq)
-        return np.multiply(sq, w, out=sq), None
+        if not grad:
+            return np.multiply(sq, w, out=sq), None, None
+        rows = np.multiply(sq, w, out=diff)
+        if kind == "gaussian":
+            return rows, np.multiply(sq, -1.0 / s**2, out=sq), w
+        if kind == "energy":
+            return rows, np.negative(inv, out=inv), w
+        np.multiply(sq, -1.0 / s, out=sq)
+        return rows, np.multiply(sq, inv, out=sq), w
 
     return term
 
@@ -481,15 +486,16 @@ def kernel_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarray,
 
 
 def kernel_grad_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarray,
-                     sources: np.ndarray, kspec: MmdKernelSpec) -> np.ndarray:
-    """Gradient rows of the kernel convolution.
+                     sources: np.ndarray, kspec: MmdKernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the kernel convolution and their gradient, from one pass.
 
-    ``out[i] = sum_j w_j dk(x_i, y_j)/dx_i``, shape ``(n, d)``.
+    Returns ``(rows, grad)``: ``rows`` has the bits of :func:`kernel_rows`,
+    and ``grad[i] = sum_j w_j dk(x_i, y_j)/dx_i``, shape ``(n, d)``.
     """
     store = _OneShot(plan, targets, sources, kspec)
     w = _check_vector("weights", weights, plan.n_cols)
     return _reduce("kernel_grad_rows", store, (w,), _kernel_term(kspec, w, grad=True),
-                   sums=False, grad=True)[2]
+                   grad=True)[1:]
 
 
 def softmin(measure: DiscreteMeasure, phi: np.ndarray, spec: CostSpec,

@@ -40,10 +40,11 @@ class FlowConfig:
     """What to descend, how fast, and which snapshots to keep.
 
     ``loss``, ``params`` and ``kernel`` must meet the rule of
-    :func:`losses.evaluate`. ``record_times`` must lie within ``[0, t_end]``;
-    each is mapped to the nearest Euler step, and both endpoints are always
-    recorded. ``seed`` is provenance for whoever sampled the initial
-    particles and is stored in trajectory manifests.
+    :func:`losses.evaluate`. ``t_end`` must be a whole number of steps
+    ``dt``, to a relative 1e-9. ``record_times`` must lie within
+    ``[0, t_end]``; each is mapped to the nearest Euler step, and both
+    endpoints are always recorded. ``seed`` is provenance for whoever
+    sampled the initial particles and is stored in trajectory manifests.
     """
 
     loss: str
@@ -60,6 +61,9 @@ class FlowConfig:
             raise InvalidInput(f"dt must be positive, got {self.dt}")
         if not np.isfinite(self.t_end) or self.t_end < 0:
             raise InvalidInput(f"t_end must be nonnegative, got {self.t_end}")
+        steps = self.t_end / self.dt
+        if not abs(steps - np.rint(steps)) <= 1e-9 * steps:
+            raise InvalidInput(f"t_end={self.t_end} is not a whole number of dt={self.dt} steps")
         if self.record_times is not None:
             for t in self.record_times:
                 if not 0.0 <= t <= self.t_end:
@@ -104,7 +108,7 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
     n = alpha0.n_atoms
     weights = alpha0.weights
     x = alpha0.positions.copy()
-    n_steps = int(round(config.t_end / config.dt)) if config.t_end > 0 else 0
+    n_steps = round(config.t_end / config.dt)
     # map each record time to its nearest Euler step
     wanted = {min(int(round(t / config.dt)), n_steps)
               for t in config.effective_record_times()}

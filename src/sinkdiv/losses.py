@@ -26,7 +26,7 @@ potentials fixed and is only an approximation (see :func:`evaluate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,6 +108,23 @@ def _require_finite(**arrays):
         raise NumericalFailure(f"non-finite internal values: {', '.join(bad)}")
 
 
+def _target(warm: dict, beta: DiscreteMeasure, spec):
+    """What ``warm["target"]`` keeps of ``beta``'s own terms, if it was made
+    for this very ``beta`` object and an equal ``spec``; else None."""
+    entry = warm.get("target", (None, None, None))
+    return entry[2] if entry[0] is beta and entry[1] == spec else None
+
+
+def _target_dual(beta, params, warm):
+    """``beta``'s self-transport state, kept by ``warm`` if converged, else
+    solved from ``warm["q"]``; and the entry keeping it as a solve started
+    from its converged potential reports it (0 iterations, same residual)."""
+    state = _target(warm, beta, params)
+    if state is None or not state.converged:
+        state = sinkhorn_symmetric(beta, params, init_potential=warm.get("q"))
+    return state, (beta, params, replace(state, iterations=0))
+
+
 def _extension(params: SolverParams, source: DiscreteMeasure, potential: np.ndarray,
                target: DiscreteMeasure, grad: bool = False):
     """Row log-sums of the soft-minimum extension ``T(source, potential)`` at
@@ -136,8 +153,12 @@ def evaluate(loss: str, alpha: DiscreteMeasure, beta: DiscreteMeasure, *,
     ``want_value`` and ``want_grad`` need are run: the ``sinkhorn`` gradient
     alone solves no self-transport problem of ``beta``, and the MMD gradient
     alone makes no kernel pass of ``beta`` against itself.
-    Transport losses accept and return a ``warm`` dict of potentials that
-    warm-starts the next evaluation on slightly moved points.
+    The returned ``warm`` dict warm-starts the next evaluation on slightly
+    moved ``alpha``. It holds a transport loss's potentials and, with a
+    value, ``beta``'s own terms as ``target`` (``<beta, K beta>`` or its
+    :class:`SymmetricDual`), reused for the same ``beta`` object and an
+    equal spec only (a self solve also only if it converged). Like a
+    :class:`CostStore`, it is valid only while ``beta``'s arrays are unchanged.
 
     Returns ``(value, gradient, warm_out, diagnostics)``. ``value`` is None
     unless ``want_value``; ``gradient`` is a :class:`LossGradient`, or None
@@ -203,7 +224,7 @@ def _sinkhorn(alpha, beta, params, warm, want_value, want_grad):
     auto_a = sinkhorn_symmetric(alpha, params, init_potential=warm.get("p"))
     p = auto_a.potential
     if want_value:
-        auto_b = sinkhorn_symmetric(beta, params, init_potential=warm.get("q"))
+        auto_b, target = _target_dual(beta, params, warm)
     init_f = warm.get("f")
     cross = sinkhorn(alpha, beta, params, init_f=p if init_f is None else init_f)
     states = {"cross": cross, "alpha_auto": auto_a}
@@ -211,7 +232,7 @@ def _sinkhorn(alpha, beta, params, warm, want_value, want_grad):
     value = grad = None
     if want_value:
         states["beta_auto"] = auto_b
-        warm_out["q"] = auto_b.potential
+        warm_out.update(q=auto_b.potential, target=target)
         value = float(
             np.dot(alpha.weights, cross.f - p)
             + np.dot(beta.weights, cross.g - auto_b.potential)
@@ -228,7 +249,7 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
     eps = spec.epsilon
     n, m = alpha.n_atoms, beta.n_atoms
     auto_a = sinkhorn_symmetric(alpha, params, init_potential=warm.get("p"))
-    auto_b = sinkhorn_symmetric(beta, params, init_potential=warm.get("q"))
+    auto_b, target = _target_dual(beta, params, warm)
     p, q = auto_a.potential, auto_b.potential
     # extensions T(beta, q) on alpha's support and T(alpha, p) on beta's (and,
     # for the force, on alpha's own), as row log-sums
@@ -263,7 +284,8 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
             grad_q_on_a - grad_p_on_a - col_on_a + col_on_b
         )
         grad = 0.5 * (q_on_alpha - p), force
-    return value, grad, {"p": p, "q": q}, {"alpha_auto": auto_a, "beta_auto": auto_b}
+    warm_out = {"p": p, "q": q, "target": target}
+    return value, grad, warm_out, {"alpha_auto": auto_a, "beta_auto": auto_b}
 
 
 def _mmd(alpha, beta, kernel, warm, want_value, want_grad):
@@ -271,21 +293,19 @@ def _mmd(alpha, beta, kernel, warm, want_value, want_grad):
     wa, wb = alpha.weights, beta.weights
     xs, ys = alpha.positions, beta.positions
     # 0.5 (<a, Ka> + <b, Kb> - 2 <a, Kb>), each sum in a fixed order, so
-    # that the loss of a measure against itself is exactly zero
-    rows_auto = kernel_rows(ReductionPlan(n, n), wa, xs, xs, kernel)
-    rows_cross = kernel_rows(ReductionPlan(n, m), wb, ys, xs, kernel)
-    value = grad = None
-    if want_value:
-        rows_bb = kernel_rows(ReductionPlan(m, m), wb, ys, ys, kernel)
-        aa = float(np.sum(wa * rows_auto))
-        bb = float(np.sum(wb * rows_bb))
-        ab = float(np.sum(wa * rows_cross))
-        value = 0.5 * (aa + bb - 2.0 * ab)
-    if want_grad:
-        grad_auto = kernel_grad_rows(ReductionPlan(n, n), wa, xs, xs, kernel)
-        grad_cross = kernel_grad_rows(ReductionPlan(n, m), wb, ys, xs, kernel)
-        grad = rows_auto - rows_cross, wa[:, None] * (grad_auto - grad_cross)
-    return value, grad, {}, {}
+    # that the loss of a measure against itself is exactly zero; a gradient
+    # takes its rows and their gradient from one pass per support pair
+    reduce = kernel_grad_rows if want_grad else lambda *args: (kernel_rows(*args), None)
+    rows_auto, grad_auto = reduce(ReductionPlan(n, n), wa, xs, xs, kernel)
+    rows_cross, grad_cross = reduce(ReductionPlan(n, m), wb, ys, xs, kernel)
+    grad = (rows_auto - rows_cross, wa[:, None] * (grad_auto - grad_cross)) if want_grad else None
+    if not want_value:
+        return None, grad, {}, {}
+    bb = _target(warm, beta, kernel)
+    if bb is None:
+        bb = float(np.sum(wb * kernel_rows(ReductionPlan(m, m), wb, ys, ys, kernel)))
+    aa, ab = float(np.sum(wa * rows_auto)), float(np.sum(wa * rows_cross))
+    return 0.5 * (aa + bb - 2.0 * ab), grad, {"target": (beta, kernel, bb)}, {}
 
 
 # every loss by name, with the runner that evaluates it on the spec from

@@ -222,7 +222,7 @@ def test_mmd_flow_runs_on_the_requested_threads_with_the_same_bytes(tmp_path, ca
         assert main(["flow", *paths, "--loss", "mmd-energy", "--dt", "0.01",
                      "--t-end", "0.02", "--threads", str(threads), "--out", str(out)]) == 0
         capsys.readouterr()
-        assert len(builders) == 15  # 3 evaluations of 5 reductions
+        assert len(builders) == 7  # 3 evaluations of 2 reductions, and beta's own one
         if threads == 1:
             assert all(b == {threading.get_ident()} for b in builders)
         else:
@@ -230,6 +230,14 @@ def test_mmd_flow_runs_on_the_requested_threads_with_the_same_bytes(tmp_path, ca
         files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(files[1]) == ["frame_000.csv", "frame_001.csv", "manifest.json"]
     assert files[1] == files[2]
+
+
+def test_flow_horizon_off_the_step_grid_exits_2(measure_files, tmp_path, capsys):
+    a, b = measure_files
+    assert main(["flow", a, b, "--loss", "mmd-energy", "--dt", "1.0", "--t-end", "1.5",
+                 "--out", str(tmp_path / "flow")]) == 2
+    assert "not a whole number of dt" in capsys.readouterr().err
+    assert not (tmp_path / "flow").exists()
 
 
 def test_bench_prints_csv_rows(capsys):

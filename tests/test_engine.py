@@ -114,10 +114,28 @@ def test_streaming_equals_dense_kernel_ops(kind, seed):
                     w, ys, xs, kspec)
     assert max_ulp_diff(a, b) <= ULP_BOUND
     ga = kernel_grad_rows(ReductionPlan(n, m, tile_size=tile, mode="streaming"),
-                          w, ys, xs, kspec)
+                          w, ys, xs, kspec)[1]
     gb = kernel_grad_rows(ReductionPlan(n, m, tile_size=tile, mode="dense"),
-                          w, ys, xs, kspec)
+                          w, ys, xs, kspec)[1]
     assert max_ulp_diff(ga, gb) <= ULP_BOUND
+
+
+@pytest.mark.parametrize("kind", ["energy", "gaussian", "laplacian"])
+def test_kernel_grad_rows_returns_the_bits_of_kernel_rows(kind):
+    # 300 rows against 250 columns: two row blocks in streaming mode
+    rng = np.random.default_rng(410)
+    n, m = 300, 250
+    xs, ys = rng.uniform(-1, 1, (n, 2)), rng.uniform(-1, 1, (m, 2))
+    w, kspec = rng.dirichlet(np.ones(m)), sd.MmdKernelSpec(kind, sigma=0.7)
+    for mode in ("streaming", "dense"):
+        for tile in (1, 256):
+            plan = ReductionPlan(n, m, tile_size=tile, mode=mode)
+            for threads in (1, 2):
+                with worker_threads(threads):
+                    rows, grad = kernel_grad_rows(plan, w, ys, xs, kspec)
+                    want = kernel_rows(plan, w, ys, xs, kspec)
+                assert np.array_equal(rows, want), (mode, tile, threads)
+                assert grad.shape == (n, 2)
 
 
 def test_extreme_tile_sizes_change_nothing():
@@ -158,7 +176,7 @@ def test_thread_count_does_not_change_bits():
             "exp_grad_rows": lambda plan: [
                 exp_grad_rows(plan, logw, row_pot, ys, xs, spec)],
             "kernel_rows": lambda plan: [kernel_rows(plan, w, ys, xs, kspec)],
-            "kernel_grad_rows": lambda plan: [kernel_grad_rows(plan, w, ys, xs, kspec)],
+            "kernel_grad_rows": lambda plan: list(kernel_grad_rows(plan, w, ys, xs, kspec)),
         }
         for name, call in calls.items():
             ref = call(ReductionPlan(n, m))
@@ -543,7 +561,8 @@ def test_accounting_follows_the_formula_of_each_reduction():
         "exp_grad_rows": (lambda: exp_grad_rows(plan, logw, row_pot, ys, xs, spec),
                           m + 2 * n + n * d, 3),
         "kernel_rows": (lambda: kernel_rows(plan, w, ys, xs, kspec), m + n, 2),
-        "kernel_grad_rows": (lambda: kernel_grad_rows(plan, w, ys, xs, kspec), m + n * d, 3),
+        "kernel_grad_rows": (lambda: kernel_grad_rows(plan, w, ys, xs, kspec),
+                             m + n + n * d, 3),
     }
     for threads in (1, 2):
         engine.reset_high_water()

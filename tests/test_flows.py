@@ -329,6 +329,41 @@ def test_flow_config_validation():
         FlowConfig(loss="mmd-energy", t_end=1.0, record_times=(0.0, 2.0))
 
 
+@pytest.mark.parametrize("dt, t_end", [(1.0, 1.5), (1.0, 2.5), (0.1, 0.25)])
+def test_horizon_must_be_a_whole_number_of_steps(dt, t_end):
+    # round() would send these halves to an even step count, past or short of t_end
+    with pytest.raises(sd.InvalidInput, match="not a whole number of dt"):
+        FlowConfig(loss="mmd-energy", dt=dt, t_end=t_end)
+
+
+def test_horizon_within_rounding_of_whole_steps_is_accepted():
+    config = FlowConfig(loss="mmd-energy", dt=0.05, t_end=12 * 0.05)  # 0.6000000000000001
+    alpha, beta = _segment_pair(n=4)
+    assert [t for t, _ in run_flow(alpha, beta, config).loss_curve][-1] == 12 * 0.05
+
+
+def test_flow_evaluates_the_fixed_target_once(monkeypatch):
+    from sinkdiv import losses
+
+    alpha, beta = _segment_pair(n=12)
+    calls = {name: [] for name in ("kernel_rows", "kernel_grad_rows", "sinkhorn_symmetric")}
+    for name, seen in calls.items():
+        fn = getattr(losses, name)
+        monkeypatch.setattr(losses, name, lambda *args, fn=fn, seen=seen, **kw: (
+            seen.append(args), fn(*args, **kw))[1])
+    n_steps = 4
+    run_flow(alpha, beta, FlowConfig(loss="mmd-energy", dt=0.01, t_end=n_steps * 0.01))
+    assert len(calls["kernel_grad_rows"]) == 2 * (n_steps + 1)
+    assert len(calls["kernel_rows"]) == 1
+    params = sd.SolverParams(epsilon=0.1, p=2, tol=1e-10)
+    for loss in ("sinkhorn", "hausdorff"):
+        calls["sinkhorn_symmetric"].clear()
+        run_flow(alpha, beta, FlowConfig(loss=loss, params=params, dt=0.01,
+                                         t_end=n_steps * 0.01))
+        on_beta = [args for args in calls["sinkhorn_symmetric"] if args[0] is beta]
+        assert len(on_beta) == 1, loss
+
+
 def test_dimension_mismatch_rejected():
     a = sd.from_arrays([1.0], [[0.0]])
     b = sd.from_arrays([1.0], [[0.0, 0.0]])

@@ -206,7 +206,8 @@ def test_hausdorff_force_is_a_descent_direction():
 
 PUBLIC_VALUES = {"ot_eps": sd.ot_eps, "sinkhorn": sd.sinkhorn_divergence,
                  "hausdorff": sd.hausdorff_divergence}
-WARM_KEYS = {"ot_eps": {"f"}, "sinkhorn": {"f", "p", "q"}, "hausdorff": {"p", "q"}}
+WARM_KEYS = {"ot_eps": {"f"}, "sinkhorn": {"f", "p", "q", "target"},
+             "hausdorff": {"p", "q", "target"}}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -233,7 +234,7 @@ def test_value_force_matches_standalone_evaluations(loss, threads):
         if other is not None:
             assert np.array_equal(grad.d_weights, other.d_weights)
             assert np.array_equal(grad.d_positions, other.d_positions)
-    assert set(warm) == WARM_KEYS.get(loss, set())
+    assert set(warm) == WARM_KEYS.get(loss, {"target"})  # an MMD loss keeps <beta, K beta>
     if loss == "sinkhorn":  # the gradient alone solves no self-transport of beta
         assert set(standalone.diagnostics) == {"cross", "alpha_auto"}
 
@@ -253,6 +254,52 @@ def test_warm_potentials_round_trip_and_speed_up_the_next_solve():
         sd.sinkhorn_divergence(alpha, beta, params).value, rel=1e-8, abs=1e-10)
 
 
+def _counting(monkeypatch, name, calls):
+    """Record the measure a self solve runs on, or the sources of a kernel pass."""
+    from sinkdiv import losses
+
+    fn = getattr(losses, name)
+    monkeypatch.setattr(losses, name, lambda *args, **kw: (
+        calls.append(args[0] if name == "sinkhorn_symmetric" else args[3]), fn(*args, **kw))[1])
+
+
+@pytest.mark.parametrize("loss", ["sinkhorn", "hausdorff", "mmd-gaussian"])
+def test_target_is_reused_only_for_the_same_beta_and_spec(loss, monkeypatch):
+    alpha, beta, _ = random_pair(seed=40, max_n=12)
+    copy = sd.from_arrays(beta.weights.copy(), beta.positions.copy())
+    if loss == "mmd-gaussian":
+        name, same, other = "kernel_rows", {"kernel": sd.MmdKernelSpec("gaussian", 0.6)}, {
+            "kernel": sd.MmdKernelSpec("gaussian", 0.7)}
+        own = lambda b, calls: sum(c is b.positions for c in calls)  # (beta, beta) passes
+    else:
+        name, same, other = "sinkhorn_symmetric", {"params": TIGHT}, {
+            "params": sd.SolverParams(epsilon=0.1, p=2, tol=1e-12, max_iters=20000)}
+        own = lambda b, calls: sum(c is b for c in calls)  # self solves of beta
+    _, _, warm, _ = evaluate(loss, alpha, beta, **same)
+    # without the entry, beta's own terms are computed again, from warm["q"]
+    value = evaluate(loss, alpha, beta, warm={k: warm[k] for k in warm if k != "target"},
+                     **same)[0]
+    calls = []
+    _counting(monkeypatch, name, calls)
+    again, _, _, _ = evaluate(loss, alpha, beta, warm=warm, **same)
+    assert own(beta, calls) == 0 and again == value
+    for b, options in ((copy, same), (beta, other)):
+        calls.clear()
+        evaluate(loss, alpha, b, warm=warm, **options)
+        assert own(b, calls) == 1, (b is copy, options)
+
+
+def test_target_of_an_unconverged_self_solve_is_not_reused(monkeypatch):
+    alpha, beta, _ = random_pair(seed=41, max_n=12)
+    params = sd.SolverParams(epsilon=0.1, p=2, tol=1e-14, symmetric_max_iters=1)
+    _, _, warm, diagnostics = evaluate("hausdorff", alpha, beta, params=params)
+    assert not diagnostics["beta_auto"]["converged"]
+    calls = []
+    _counting(monkeypatch, "sinkhorn_symmetric", calls)
+    evaluate("hausdorff", alpha, beta, params=params, warm=warm)
+    assert sum(c is beta for c in calls) == 1
+
+
 def test_unreliable_gradient_carries_partial_result():
     alpha, beta, _ = random_pair(seed=38, max_n=40)
     params = sd.SolverParams(epsilon=0.01, p=2, tol=1e-14, max_iters=1,
@@ -265,19 +312,10 @@ def test_unreliable_gradient_carries_partial_result():
     assert not partial.diagnostics["cross"]["converged"]
 
 
-def test_loss_dispatch_validation():
-    alpha, beta, _ = random_pair(seed=39, max_n=6)
-    with pytest.raises(sd.InvalidInput):
-        evaluate("wasserstein", alpha, beta, params=TIGHT)
-    with pytest.raises(sd.InvalidInput):
-        evaluate("sinkhorn", alpha, beta)  # no solver params
-    with pytest.raises(sd.InvalidInput):
-        evaluate("mmd-energy", alpha, beta, kernel=sd.MmdKernelSpec("gaussian"))
-
-
 BAD_LOSS_SPECS = {
     "unknown loss": ("wasserstein", TIGHT, None),
     "missing params": ("hausdorff", None, None),
+    "sinkhorn without params": ("sinkhorn", None, None),
     "wrong kernel kind": ("mmd-energy", None, sd.MmdKernelSpec("gaussian")),
     "params on an MMD loss": ("mmd-laplacian", TIGHT, None),
     "kernel on a transport loss": ("sinkhorn", TIGHT, sd.MmdKernelSpec("energy")),
