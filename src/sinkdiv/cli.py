@@ -27,7 +27,7 @@ from dataclasses import replace
 from statistics import mean, pstdev
 
 from . import engine
-from .errors import InvalidInput, SinkdivError
+from .errors import InvalidInput, SinkdivError, _count
 from .flows import FlowConfig, run_flow, write_trajectory
 from .losses import LOSSES, MMD_KINDS, _loss_spec, evaluate
 from .measures import load_csv, load_json, sample_unit_square
@@ -112,8 +112,7 @@ def cmd_bench(args) -> int:
     sizes = _numbers(args.sizes, int, "--sizes")
     if not sizes or any(n < 1 for n in sizes):
         raise InvalidInput(f"--sizes must list positive integers, got {args.sizes!r}")
-    if args.repeats < 1:
-        raise InvalidInput(f"--repeats must be >= 1, got {args.repeats}")
+    _count("--repeats", args.repeats, 1)
     options = _loss_options(args)
     rows = ["n,loss,mean_seconds,std_seconds,peak_bytes_estimate"]
     for n in sizes:

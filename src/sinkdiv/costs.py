@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _floats, _scale
 
 __all__ = ["CostSpec", "MmdKernelSpec", "cost", "mmd_kernel"]
 
@@ -40,8 +40,7 @@ class CostSpec:
     def __post_init__(self):
         if self.p not in (1, 2):
             raise InvalidInput(f"cost exponent must be 1 or 2, got {self.p}")
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise InvalidInput(f"epsilon must be positive and finite, got {self.epsilon}")
+        _scale("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -54,31 +53,26 @@ class MmdKernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InvalidInput(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        if not np.isfinite(self.sigma) or self.sigma <= 0:
-            raise InvalidInput(f"sigma must be positive and finite, got {self.sigma}")
+        _scale("sigma", self.sigma)
 
 
-def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
+def _sq_dist(x, y) -> float:
+    xv = _floats("x", x).reshape(-1)
+    yv = _floats("y", y).reshape(-1)
     if xv.shape != yv.shape:
         raise InvalidInput(f"point dimensions differ: {xv.shape[0]} vs {yv.shape[0]}")
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
-        raise InvalidInput("points contain NaN or infinite entries")
-    return xv, yv
+    return float(np.dot(xv - yv, xv - yv))
 
 
 def cost(spec: CostSpec, x, y) -> float:
     """Pointwise cost ``|x - y|^p``."""
-    xv, yv = _check_pair(x, y)
-    sq = float(np.dot(xv - yv, xv - yv))
+    sq = _sq_dist(x, y)
     return np.sqrt(sq) if spec.p == 1 else sq
 
 
 def mmd_kernel(kspec: MmdKernelSpec, x, y) -> float:
     """Pointwise kernel evaluation for the configured family."""
-    xv, yv = _check_pair(x, y)
-    sq = float(np.dot(xv - yv, xv - yv))
+    sq = _sq_dist(x, y)
     if kspec.kind == "energy":
         return -np.sqrt(sq)
     if kspec.kind == "gaussian":

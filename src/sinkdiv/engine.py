@@ -52,7 +52,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
-import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,7 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec, MmdKernelSpec, sq_dist_block
-from .errors import DegenerateMeasure, InvalidInput
+from .errors import (DegenerateMeasure, InvalidInput, _check_points, _check_vector, _count,
+                     _floats, _scale)
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -84,10 +84,9 @@ def set_threads(n: int) -> int:
     """Run every later reduction in this process on ``n`` worker threads;
     returns the previous count (1 at import). Only the speed changes."""
     global _WORKERS
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidInput(f"thread count must be an integer >= 1, got {n!r}")
+    n = _count("thread count", n, 1)
     with _WORKERS_LOCK:
-        previous, _WORKERS = _WORKERS, int(n)
+        previous, _WORKERS = _WORKERS, n
     return previous
 
 
@@ -106,11 +105,12 @@ class ReductionPlan:
     mode: str = "streaming"
 
     def __post_init__(self):
+        _count("n_rows", self.n_rows)
+        _count("n_cols", self.n_cols)
         if self.n_rows < 1 or self.n_cols < 1:
             raise DegenerateMeasure("reduction needs at least one row and one column, "
                                     f"got {self.n_rows}x{self.n_cols}")
-        if self.tile_size < 1:
-            raise InvalidInput(f"tile_size must be >= 1, got {self.tile_size}")
+        _count("tile_size", self.tile_size, 1)
         if self.mode not in MODES:
             raise InvalidInput(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -166,26 +166,6 @@ def _record_stats(op, plan, pair, peak):
         _LAST_STATS = (op, plan, pair, peak)
         _HIGH_WATER["peak_bytes"] = max(_HIGH_WATER["peak_bytes"], peak)
         _HIGH_WATER["pair_buffer_bytes"] = max(_HIGH_WATER["pair_buffer_bytes"], pair)
-
-
-def _check_points(name: str, arr: np.ndarray) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] == 0:
-        raise InvalidInput(f"{name} must be (n, d) with d >= 1, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise DegenerateMeasure(f"{name} has no points")
-    if not np.isfinite(a).all():
-        raise InvalidInput(f"{name} contains NaN or infinite entries")
-    return a
-
-
-def _check_vector(name: str, arr: np.ndarray, length: int) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.float64)
-    if a.shape != (length,):
-        raise InvalidInput(f"{name} must have shape ({length},), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInput(f"{name} contains NaN or infinite entries")
-    return a
 
 
 class CostStore:
@@ -509,7 +489,7 @@ def softmin(measure: DiscreteMeasure, phi: np.ndarray, spec: CostSpec,
     which tends to ``min_k (C(x_k, y) - phi_k)`` as eps goes to zero and to
     the average ``sum_k w_k (C(x_k, y) - phi_k)`` as eps grows.
     """
-    queries = np.asarray(query_points, dtype=np.float64)
+    queries = _floats("query_points", query_points)
     if queries.ndim == 1:
         queries = queries[:, None]
     plan = ReductionPlan(n_rows=queries.shape[0], n_cols=measure.n_atoms)
@@ -525,18 +505,15 @@ def soft_min(weights: np.ndarray, values: np.ndarray, epsilon: float) -> float:
     weighted average (large eps); adding a constant to ``values`` shifts the
     result by the same constant.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    vals = np.asarray(values, dtype=np.float64)
+    w = _floats("weights", weights)
+    vals = _floats("values", values)
     if w.shape != vals.shape or w.ndim != 1:
         raise InvalidInput(f"weights {w.shape} and values {vals.shape} must be matching vectors")
     if w.size == 0:
         raise DegenerateMeasure("soft_min over empty support")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(vals))):
-        raise InvalidInput("soft_min inputs contain NaN or infinite entries")
     if np.any(w <= 0):
         raise InvalidInput("soft_min weights must be strictly positive")
-    if not np.isfinite(epsilon) or epsilon <= 0:
-        raise InvalidInput(f"epsilon must be positive and finite, got {epsilon}")
+    _scale("epsilon", epsilon)
     t = np.log(w) - vals / epsilon
     mx = t.max()
     return float(-epsilon * (mx + np.log(np.sum(np.exp(t - mx)))))

@@ -10,9 +10,10 @@ the step independent of how finely the mass is discretized). Transport
 losses warm-start their dual solves from the previous step, so each step
 after the first typically converges in a few iterations.
 
-Frames are recorded at the Euler step nearest each requested time, and
-always at both ends of the flow; the loss value at every step is kept as
-the flow's descent curve.
+Frames are recorded at the Euler step nearest each requested time, ties
+going to the later step, and always at both ends of the flow; the loss
+value at every step is kept as the flow's descent curve. Step ``k`` is
+stamped ``k * dt``, except the last, which is stamped ``t_end``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .costs import MmdKernelSpec
-from .errors import GradientUnreliable, InvalidInput, IoError, NumericalFailure
+from .errors import GradientUnreliable, InvalidInput, IoError, NumericalFailure, _scale
 from .losses import _loss_spec, evaluate
 from .measures import DiscreteMeasure, _csv_text, _write_text, from_arrays
 from .solver import SolverParams
@@ -41,10 +42,10 @@ class FlowConfig:
 
     ``loss``, ``params`` and ``kernel`` must meet the rule of
     :func:`losses.evaluate`. ``t_end`` must be a whole number of steps
-    ``dt``, to a relative 1e-9. ``record_times`` must lie within
-    ``[0, t_end]``; each is mapped to the nearest Euler step, and both
-    endpoints are always recorded. ``seed`` is provenance for whoever
-    sampled the initial particles and is stored in trajectory manifests.
+    ``dt``, to a relative 1e-9. ``record_times`` is a sequence of numbers in
+    ``[0, t_end]``, each mapped to the nearest Euler step (ties to the later
+    one); both endpoints are always recorded. ``seed`` is provenance for
+    whoever sampled the initial particles and is stored in trajectory manifests.
     """
 
     loss: str
@@ -57,19 +58,17 @@ class FlowConfig:
 
     def __post_init__(self):
         _loss_spec(self.loss, self.params, self.kernel)
-        if not np.isfinite(self.dt) or self.dt <= 0:
-            raise InvalidInput(f"dt must be positive, got {self.dt}")
-        if not np.isfinite(self.t_end) or self.t_end < 0:
-            raise InvalidInput(f"t_end must be nonnegative, got {self.t_end}")
+        _scale("dt", self.dt)
+        _scale("t_end", self.t_end, zero=True)
         steps = self.t_end / self.dt
         if not abs(steps - np.rint(steps)) <= 1e-9 * steps:
             raise InvalidInput(f"t_end={self.t_end} is not a whole number of dt={self.dt} steps")
         if self.record_times is not None:
+            if not np.iterable(self.record_times):
+                raise InvalidInput(f"record_times must be a sequence, got {self.record_times!r}")
             for t in self.record_times:
-                if not 0.0 <= t <= self.t_end:
-                    raise InvalidInput(
-                        f"record time {t} outside [0, {self.t_end}]"
-                    )
+                if _scale("record_times entry", t, zero=True) > self.t_end:
+                    raise InvalidInput(f"record_times entry {t} outside [0, {self.t_end}]")
 
     def effective_record_times(self) -> tuple:
         """Snapshot times actually used, sorted: the explicit ones, or else the
@@ -109,9 +108,10 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
     weights = alpha0.weights
     x = alpha0.positions.copy()
     n_steps = round(config.t_end / config.dt)
-    # map each record time to its nearest Euler step
-    wanted = {min(int(round(t / config.dt)), n_steps)
+    # map each record time to its nearest Euler step, ties to the later one
+    wanted = {min(int(t / config.dt + 0.5), n_steps)
               for t in config.effective_record_times()}
+    stamps = [step * config.dt for step in range(n_steps)] + [config.t_end]
 
     frames: list = []
     loss_curve: list = []
@@ -119,7 +119,7 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
 
     def snapshot(step: int):
         if step in wanted:
-            frames.append((step * config.dt, x.copy()))
+            frames.append((stamps[step], x.copy()))
 
     snapshot(0)
     try:
@@ -134,7 +134,7 @@ def run_flow(alpha0: DiscreteMeasure, beta: DiscreteMeasure,
                 moved = x - config.dt * n * grad.d_positions
             if not (np.isfinite(value) and np.all(np.isfinite(moved))):
                 raise NumericalFailure(f"non-finite loss value or force at step {step}")
-            loss_curve.append((step * config.dt, value))
+            loss_curve.append((stamps[step], value))
             if step < n_steps:
                 x = moved
                 snapshot(step + 1)

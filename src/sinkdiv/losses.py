@@ -128,11 +128,11 @@ def _target_dual(beta, params, warm):
 def _extension(params: SolverParams, source: DiscreteMeasure, potential: np.ndarray,
                target: DiscreteMeasure, grad: bool = False):
     """Row log-sums of the soft-minimum extension ``T(source, potential)`` at
-    ``target``'s points (``T = -eps * lse``), with their gradient in those
-    points when ``grad`` is set."""
-    reduce = lse_rows_with_grad if grad else lse_rows
-    return reduce(ReductionPlan(target.n_atoms, source.n_atoms), source.log_weights,
-                  potential, source.positions, target.positions, params.cost_spec)
+    ``target``'s points (``T = -eps * lse``) and their gradient in those
+    points, which is None unless ``grad`` is set."""
+    args = (ReductionPlan(target.n_atoms, source.n_atoms), source.log_weights, potential,
+            source.positions, target.positions, params.cost_spec)
+    return lse_rows_with_grad(*args) if grad else (lse_rows(*args), None)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +251,9 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
     auto_a = sinkhorn_symmetric(alpha, params, init_potential=warm.get("p"))
     auto_b, target = _target_dual(beta, params, warm)
     p, q = auto_a.potential, auto_b.potential
-    # extensions T(beta, q) on alpha's support and T(alpha, p) on beta's (and,
-    # for the force, on alpha's own), as row log-sums
-    if want_grad:
-        lse_q_on_a, grad_q_on_a = _extension(params, beta, q, alpha, grad=True)
-        lse_p_on_a, grad_p_on_a = _extension(params, alpha, p, alpha, grad=True)
-    lse_p_on_b = _extension(params, alpha, p, beta)
-    if not want_grad:
-        lse_q_on_a = _extension(params, beta, q, alpha)
+    # row log-sums of the extensions T(beta, q) on alpha's support and T(alpha, p) on beta's
+    lse_q_on_a, grad_q_on_a = _extension(params, beta, q, alpha, grad=want_grad)
+    lse_p_on_b, _ = _extension(params, alpha, p, beta)
     _require_finite(lse_q_on_alpha=lse_q_on_a, lse_p_on_beta=lse_p_on_b)
     q_on_alpha = -eps * lse_q_on_a
     p_on_beta = -eps * lse_p_on_b
@@ -269,6 +264,7 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
             + np.dot(beta.weights, p_on_beta - q)
         )
     if want_grad:
+        lse_p_on_a, grad_p_on_a = _extension(params, alpha, p, alpha, grad=True)
         _require_finite(lse_p_on_alpha=lse_p_on_a)
         # Column-side terms: how moving atom x_i changes T(alpha, p) at each
         # evaluation point z, weighted by the measure sitting at z.

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeasure, FormatError, InvalidInput, IoError
+from .errors import (DegenerateMeasure, FormatError, InvalidInput, IoError, _check_points,
+                     _count, _floats)
 
 __all__ = [
     "DiscreteMeasure",
@@ -56,26 +57,21 @@ def from_arrays(weights, positions) -> DiscreteMeasure:
     """Build a measure from raw arrays.
 
     Zero-weight atoms are dropped and the remaining weights renormalized to
-    total mass one. Raises ``InvalidInput`` for negative, NaN or infinite
-    entries, mismatched lengths or points without coordinates, and
-    ``DegenerateMeasure`` if no atom survives filtering.
+    total mass one. Raises ``InvalidInput`` for entries that are not numbers
+    or are negative, NaN or infinite, mismatched lengths or points without
+    coordinates, and ``DegenerateMeasure`` if no atom survives filtering.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    x = np.asarray(positions, dtype=np.float64)
+    w = _floats("weights", weights)
+    x = _floats("positions", positions, finite=False)
     if w.ndim != 1:
         raise InvalidInput(f"weights must be one-dimensional, got shape {w.shape}")
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise InvalidInput(f"positions must be (n, d) with d >= 1, got shape {x.shape}")
+    x = _check_points("positions", x)
     if w.shape[0] != x.shape[0]:
         raise InvalidInput(
             f"{w.shape[0]} weights but {x.shape[0]} positions"
         )
-    if not np.all(np.isfinite(w)):
-        raise InvalidInput("weights contain NaN or infinite entries")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("positions contain NaN or infinite entries")
     if np.any(w < 0):
         raise InvalidInput("weights must be nonnegative")
     keep = w > 0
@@ -174,11 +170,10 @@ def load_json(path) -> DiscreteMeasure:
     if not isinstance(payload, dict) or "weights" not in payload or "positions" not in payload:
         raise FormatError(f"{path}: expected keys 'weights' and 'positions'")
     try:
-        return from_arrays(payload["weights"], payload["positions"])
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, (InvalidInput, DegenerateMeasure)):
-            raise
+        arrays = [_floats(key, payload[key], finite=False) for key in ("weights", "positions")]
+    except InvalidInput as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    return from_arrays(*arrays)
 
 
 def save_json(measure: DiscreteMeasure, path) -> None:
@@ -191,7 +186,7 @@ def save_json(measure: DiscreteMeasure, path) -> None:
 
 def sample_unit_square(n: int, seed=None) -> DiscreteMeasure:
     """Uniform weights on ``n`` i.i.d. points drawn uniformly from [0, 1]^2."""
-    if n < 1:
+    if _count("n", n) < 1:
         raise DegenerateMeasure(f"need at least one sample, got n={n}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(n, 2))

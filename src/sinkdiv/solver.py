@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec, cost_block
-from .engine import CostStore, ReductionPlan, _check_vector, lse_rows
-from .errors import InvalidInput, NumericalFailure, TooLarge
+from .engine import CostStore, ReductionPlan, lse_rows
+from .errors import NumericalFailure, TooLarge, _check_vector, _count, _scale
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -79,11 +79,9 @@ class SolverParams:
 
     def __post_init__(self):
         CostSpec(self.p, self.epsilon)  # validates p and epsilon
-        if not np.isfinite(self.tol) or self.tol < 0:
-            raise InvalidInput(f"tol must be nonnegative and finite, got {self.tol}")
-        for name, low in (("max_iters", 1), ("symmetric_max_iters", 0)):
-            if getattr(self, name) < low:
-                raise InvalidInput(f"{name} must be >= {low}, got {getattr(self, name)}")
+        _scale("tol", self.tol, zero=True)
+        _count("max_iters", self.max_iters, 1)
+        _count("symmetric_max_iters", self.symmetric_max_iters, 0)
 
     @property
     def cost_spec(self) -> CostSpec:
@@ -174,8 +172,6 @@ def sinkhorn(
     of it is the dual objective; the loop stops once
     ``sum_i alpha_i |T(beta, g)_i - f_i| <= tol``.
     """
-    if alpha.dim != beta.dim:
-        raise InvalidInput(f"dimension mismatch: {alpha.dim} vs {beta.dim}")
     spec = params.cost_spec
     eps = spec.epsilon
     n, m = alpha.n_atoms, beta.n_atoms
@@ -289,13 +285,8 @@ def dual_value(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     summed with ``math.fsum``, so the value is their correctly rounded sum and
     the solver's ascent check does not see rounding as a fall.
     """
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f.shape != (alpha.n_atoms,) or g.shape != (beta.n_atoms,):
-        raise InvalidInput(
-            f"potential shapes {f.shape}/{g.shape} do not match supports "
-            f"({alpha.n_atoms},)/({beta.n_atoms},)"
-        )
+    f = _check_vector("f", f, alpha.n_atoms)
+    g = _check_vector("g", g, beta.n_atoms)
     return math.fsum(np.concatenate((alpha.weights * f, beta.weights * g)).tolist())
 
 
@@ -307,10 +298,8 @@ def _dense_plan(alpha: DiscreteMeasure, beta: DiscreteMeasure, f, g, spec: CostS
     n, m = alpha.n_atoms, beta.n_atoms
     if n * m > max_entries:
         raise TooLarge(f"{what} would hold {n * m} entries (limit {max_entries})")
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f.shape != (n,) or g.shape != (m,):
-        raise InvalidInput("potential shapes do not match supports")
+    f = _check_vector("f", f, n)
+    g = _check_vector("g", g, m)
     c = cost_block(spec, alpha.positions, beta.positions)
     z = (f[:, None] + g[None, :] - c) / spec.epsilon
     ab = alpha.weights[:, None] * beta.weights[None, :]

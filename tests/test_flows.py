@@ -95,6 +95,15 @@ def test_record_times_map_to_nearest_step():
     assert times == pytest.approx([0.0, 0.3, 1.0])
 
 
+def test_half_step_record_times_go_to_the_later_step_and_the_last_is_t_end():
+    alpha, beta = _segment_pair(n=4)
+    halves = FlowConfig(loss="mmd-energy", dt=1.0, t_end=4.0, record_times=(0.5, 1.5, 2.5, 3.5))
+    assert [t for t, _ in run_flow(alpha, beta, halves).frames] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    traj = run_flow(alpha, beta, FlowConfig(loss="mmd-energy", dt=0.1, t_end=0.6))
+    assert [t for t, _ in traj.frames] == [0.0, 0.30000000000000004, 0.5, 0.6]
+    assert [t for t, _ in traj.loss_curve] == [k * 0.1 for k in range(6)] + [0.6]
+
+
 @pytest.mark.parametrize("record_times", [(0.0, 0.5), (), None],
                          ids=["without-end", "empty", "default"])
 def test_final_positions_are_the_state_the_flow_ends_at(record_times):

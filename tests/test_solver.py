@@ -681,7 +681,7 @@ def test_dimension_mismatch_rejected():
 def test_potential_shapes_must_match_the_supports(call):
     a = sd.from_arrays([0.5, 0.5], [[0.0], [1.0]])
     b = sd.from_arrays([1.0], [[0.5]])
-    with pytest.raises(sd.InvalidInput, match="potential shapes"):
+    with pytest.raises(sd.InvalidInput, match="^[fg] must have shape"):
         call(a, b)
 
 
