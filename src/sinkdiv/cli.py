@@ -27,6 +27,7 @@ from dataclasses import replace
 from statistics import mean, pstdev
 
 from . import engine
+from .costs import MmdKernelSpec
 from .errors import InvalidInput, SinkdivError, _count
 from .flows import FlowConfig, run_flow, write_trajectory
 from .losses import LOSSES, MMD_KINDS, _loss_spec, evaluate
@@ -97,7 +98,7 @@ def cmd_divergence(args) -> int:
 def cmd_flow(args) -> int:
     alpha = _load_measure(args.measure_a, args.format)
     beta = _load_measure(args.measure_b, args.format)
-    record = None if args.record is None else tuple(_numbers(args.record, float, "--record"))
+    record = None if args.record is None else _numbers(args.record, float, "--record")
     config = FlowConfig(
         loss=args.loss, dt=args.dt, t_end=args.t_end, record_times=record,
         seed=args.seed, **_loss_options(args),
@@ -149,12 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--loss", choices=list(LOSSES), default="sinkhorn")
         p.add_argument("--eps", type=float, default=None,
                        help="blur scale for transport losses (raw cost units)")
-        p.add_argument("--p", type=int, choices=[1, 2], default=2,
+        p.add_argument("--p", type=int, choices=[1, 2], default=SolverParams.p,
                        help="cost exponent")
-        p.add_argument("--sigma", type=float, default=1.0,
+        p.add_argument("--sigma", type=float, default=MmdKernelSpec.sigma,
                        help="kernel bandwidth for mmd losses")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--max-iters", type=int, default=1000)
+        p.add_argument("--tol", type=float, default=SolverParams.tol)
+        p.add_argument("--max-iters", type=int, default=SolverParams.max_iters)
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: SINKDIV_THREADS or CPU count)")
 
@@ -164,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flow = sub.add_parser("flow", help="integrate a particle descent flow")
     add_common(p_flow)
-    p_flow.add_argument("--dt", type=float, default=1e-2)
-    p_flow.add_argument("--t-end", type=float, default=5.0)
+    p_flow.add_argument("--dt", type=float, default=FlowConfig.dt)
+    p_flow.add_argument("--t-end", type=float, default=FlowConfig.t_end)
     p_flow.add_argument("--record", type=str, default=None,
                         help="comma-separated snapshot times; 0 and --t-end are "
                              "always recorded (default: standard times clipped "

@@ -11,15 +11,15 @@ its term; one private function, :func:`_reduce`, does the rest:
   ``n_rows + n_cols``. ``dense`` mode is the same loop with one block.
 * Every reduction runs on a :class:`CostStore`: its validated points, each
   worker's 64-byte-aligned block buffers and, for a solve, the kept costs.
-  A call without a store makes a one-shot store that keeps no costs. A
-  block's squared distances are built once, in the coordinate order of
-  :func:`costs.sq_dist_block`, and turned into its terms in place.
+  A call without a store makes a one-shot store that keeps no costs. Only
+  :func:`_reduce` makes or reads blocks, building squared distances once in
+  :func:`costs.sq_dist_block`'s coordinate order; a :class:`costs.CostSpec`
+  store (log-domain terms) turns them there into ``C / eps`` and its scale.
 * A solver passes one :class:`CostStore` per direction to its
   :func:`lse_rows` calls, which validate its log-weights once. The first
-  call keeps every block's ``C / eps``, built by the same arithmetic, and
-  later calls of the solve start from those blocks. This costs ``8 n_rows
-  n_cols`` bytes per direction and is done only up to ``CACHE_PAIRS``
-  pairs; larger problems stream in linear memory.
+  call keeps every block's ``C / eps`` and later calls of the solve start
+  from it, for ``8 n_rows n_cols`` bytes per direction, up to
+  ``CACHE_PAIRS`` pairs; larger problems stream in linear memory.
 * A log-sum-exp row is shifted by its exact maximum over the whole row, then
   exponentiated. Row sums and gradient sums are accumulated tile by tile over
   ``tile_size``-column slices, in column order.
@@ -239,25 +239,27 @@ def _aligned_empty(shape) -> np.ndarray:
     return raw[start:start + raw.size - 7].reshape(shape)
 
 
-def _reduce(op, store, vecs, term, *, lse=False, sums=True, grad=False, clamp=False):
+def _reduce(op, store, vecs, term, *, sums=True, grad=False, clamp=False):
     """The one reduction loop, run on ``store``; returns the per-row
     accumulators ``(mx, acc, gacc)``.
 
-    The block term ``term(sq, diff, aux, r0, r1)`` turns the squared
-    distances ``sq`` of rows ``r0:r1`` in place into ``(weights, scale,
-    gweights)``: what is summed along each row, the per-pair factor turning
-    a coordinate difference into a gradient entry, and the weights of the
-    gradient sums (``diff``, free until those sums, and ``aux`` are spare
-    block buffers when ``grad``). Where the store keeps costs (cost terms
-    only, no ``grad``), a block's ``C / eps`` is read from it, or built into
-    it on the first call, and passed as the term's last argument ``cost``.
-    With ``lse`` the weights are first shifted by their exact row maximum
-    ``mx``, raised to ``EXP_FLOOR`` if ``clamp``, and exponentiated. ``acc``
-    holds the row sums of the weights (``sums``), ``gacc`` those of ``diff_k
-    * scale * gweights`` (``grad``). ``vecs`` are the call's validated input
-    vectors, counted in its accounting.
+    Each block of rows ``r0:r1`` is made or read here alone: the store's
+    kept slice, else the ``sq`` buffer, gets squared distances unless kept
+    already, and for a :class:`costs.CostSpec` store (log-domain terms,
+    ``lse``) becomes ``C / eps``, with its gradient ``scale`` (in ``aux``
+    with ``grad``). ``term(sq, diff, aux, r0, r1, block, scale)`` returns
+    ``(weights, scale, gweights)``: what is summed along each row, the
+    per-pair factor turning a coordinate difference into a gradient entry,
+    and the weights of the gradient sums (``diff``, free until those sums,
+    and ``aux`` are spare block buffers when ``grad``). Kept blocks serve
+    no ``grad``. With ``lse`` the weights are first shifted by their exact
+    row maximum ``mx``, raised to ``EXP_FLOOR`` if ``clamp``, and
+    exponentiated. ``acc`` holds the row sums of the weights (``sums``),
+    ``gacc`` those of ``diff_k * scale * gweights`` (``grad``). ``vecs``
+    are the call's validated input vectors, counted in its accounting.
     """
     plan, xs, ys, cost = store.plan, store.xs, store.ys, store.cost
+    lse = isinstance(store.spec, CostSpec)
     (n, d), m = xs.shape, ys.shape[0]
     rb = n if plan.mode == "dense" else min(n, max(1, PAIR_BUDGET // m))
     tile = plan.tile_size
@@ -274,15 +276,13 @@ def _reduce(op, store, vecs, term, *, lse=False, sums=True, grad=False, clamp=Fa
         for r0 in range(first * rb, n, workers * rb):
             r1 = min(r0 + rb, n)
             sq, diff, aux = [*bufs[:, : r1 - r0], None, None][:3]
-            if cost is None:
-                sq_dist_block(xs[r0:r1], ys, out=sq, work=diff)
-                weights, scale, gweights = term(sq, diff, aux, r0, r1)
-            else:
-                block = cost[r0:r1]
-                if not store.ready:
-                    sq_dist_block(xs[r0:r1], ys, out=block, work=diff)
-                    _scaled_cost(store.spec, block)
-                weights, scale, gweights = term(sq, diff, aux, r0, r1, block)
+            block = sq if cost is None else cost[r0:r1]
+            scale = None
+            if cost is None or not store.ready:
+                sq_dist_block(xs[r0:r1], ys, out=block, work=diff)
+                if lse:
+                    scale = _scaled_cost(store.spec, block, aux if grad else None)
+            weights, scale, gweights = term(sq, diff, aux, r0, r1, block, scale)
             if lse:
                 row_max = weights.max(axis=1)
                 mx[r0:r1] = row_max
@@ -329,8 +329,8 @@ def _inverse(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _scaled_cost(spec: CostSpec, sq: np.ndarray, aux=None):
-    """Turn squared distances ``sq`` in place into ``C / eps``; returns the
-    scale of ``dC(x_i, y_j)/dx_i`` (for ``p = 1`` written into ``aux``)."""
+    """Turn squared distances ``sq`` in place into ``C / eps``, for :func:`_reduce`
+    alone; returns the scale of ``dC(x_i, y_j)/dx_i`` (for ``p = 1`` in ``aux``)."""
     scale = 2.0
     if spec.p == 1:
         np.sqrt(sq, out=sq)
@@ -340,16 +340,12 @@ def _scaled_cost(spec: CostSpec, sq: np.ndarray, aux=None):
     return scale
 
 
-def _cost_term(spec: CostSpec, col, row=None, grad=False):
+def _cost_term(col, row=None):
     """Term ``col_j - C_ij / eps``, or ``col_j + (row_i - C_ij / eps)`` given
-    ``row``; with ``grad`` the scale is that of ``dC(x_i, y_j)/dx_i``. Given
-    a kept block ``cost`` of ``C / eps``, ``sq`` only receives the terms."""
+    ``row``, written into ``sq`` from the block ``cost`` of ``C / eps`` that
+    :func:`_reduce` made or read; its ``scale`` passes through."""
 
-    def term(sq, diff, aux, r0, r1, cost=None):
-        scale = None
-        if cost is None:
-            scale = _scaled_cost(spec, sq, aux if grad else None)
-            cost = sq
+    def term(sq, diff, aux, r0, r1, cost, scale):
         if row is None:
             np.subtract(col, cost, out=sq)
         else:
@@ -365,7 +361,7 @@ def _kernel_term(kspec: MmdKernelSpec, w, grad=False):
     ``dk(x_i, y_j)/dx_i``, whose gradient sums take the weights ``w``."""
     kind, s = kspec.kind, kspec.sigma
 
-    def term(sq, diff, aux, r0, r1):
+    def term(sq, diff, aux, *_):
         if kind == "gaussian":
             np.multiply(sq, -0.5 / s**2, out=sq)
             np.exp(sq, out=sq)
@@ -416,7 +412,7 @@ def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np
     logw = store.logw[1]
     pot = _check_vector("pot", pot, plan.n_cols)
     col = logw + pot / spec.epsilon
-    mx, acc, _ = _reduce("lse_rows", store, (logw, pot), _cost_term(spec, col), lse=True,
+    mx, acc, _ = _reduce("lse_rows", store, (logw, pot), _cost_term(col),
                          clamp=_may_underflow(col, store.span))
     return mx + np.log(acc)
 
@@ -434,8 +430,7 @@ def lse_rows_with_grad(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray,
     logw = _check_vector("logw", logw, plan.n_cols)
     pot = _check_vector("pot", pot, plan.n_cols)
     mx, acc, gacc = _reduce("lse_rows_with_grad", store, (logw, pot),
-                            _cost_term(spec, logw + pot / spec.epsilon, grad=True),
-                            lse=True, grad=True)
+                            _cost_term(logw + pot / spec.epsilon), grad=True)
     return mx + np.log(acc), gacc / acc[:, None]
 
 
@@ -452,8 +447,7 @@ def exp_grad_rows(plan: ReductionPlan, colw_log: np.ndarray, row_pot: np.ndarray
     colw_log = _check_vector("colw_log", colw_log, plan.n_cols)
     row_pot = _check_vector("row_pot", row_pot, plan.n_rows)
     mx, _, gacc = _reduce("exp_grad_rows", store, (colw_log, row_pot),
-                          _cost_term(spec, colw_log, row_pot / spec.epsilon, grad=True),
-                          lse=True, sums=False, grad=True)
+                          _cost_term(colw_log, row_pot / spec.epsilon), sums=False, grad=True)
     return np.exp(mx)[:, None] * gacc
 
 

@@ -85,6 +85,9 @@ def _scale(name: str, value, zero: bool = False):
 
 def _floats(name: str, value, finite: bool = True) -> np.ndarray:
     """``value`` as a float64 array, checked finite unless ``finite`` is False."""
+    # refused before the cast, which would drop the imaginary part with a warning
+    if getattr(getattr(value, "dtype", None), "kind", None) == "c":
+        raise InvalidInput(f"{name} must be real, got dtype {value.dtype}")
     try:
         a = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:

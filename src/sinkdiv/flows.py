@@ -66,6 +66,7 @@ class FlowConfig:
         if self.record_times is not None:
             if not np.iterable(self.record_times):
                 raise InvalidInput(f"record_times must be a sequence, got {self.record_times!r}")
+            object.__setattr__(self, "record_times", tuple(self.record_times))  # read once
             for t in self.record_times:
                 if _scale("record_times entry", t, zero=True) > self.t_end:
                     raise InvalidInput(f"record_times entry {t} outside [0, {self.t_end}]")

@@ -15,7 +15,7 @@ import pytest
 
 import sinkdiv as sd
 from sinkdiv import engine
-from sinkdiv.cli import main
+from sinkdiv.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -230,6 +230,16 @@ def test_mmd_flow_runs_on_the_requested_threads_with_the_same_bytes(tmp_path, ca
         files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(files[1]) == ["frame_000.csv", "frame_001.csv", "manifest.json"]
     assert files[1] == files[2]
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    common = {"p": sd.SolverParams.p, "tol": sd.SolverParams.tol,
+              "max_iters": sd.SolverParams.max_iters, "sigma": sd.MmdKernelSpec.sigma}
+    div = vars(build_parser().parse_args(["divergence", "a", "b"]))
+    flow = vars(build_parser().parse_args(["flow", "a", "b", "--out", "o"]))
+    assert {k: div[k] for k in common} == common
+    assert {k: flow[k] for k in common} == common
+    assert (flow["dt"], flow["t_end"]) == (sd.FlowConfig.dt, sd.FlowConfig.t_end)
 
 
 def test_flow_horizon_off_the_step_grid_exits_2(measure_files, tmp_path, capsys):

@@ -79,6 +79,13 @@ BAD_INPUTS = [
      "^weights "),
     ("positions-ragged", lambda tmp: sd.from_arrays([0.5, 0.5], [[0.0], [1.0, 2.0]]),
      sd.InvalidInput, "^positions "),
+    ("positions-complex", lambda tmp: sd.from_arrays([1.0], np.array([[1 + 2j]])),
+     sd.InvalidInput, "^positions "),
+    ("weights-complex", lambda tmp: sd.from_arrays(np.array([1 + 0j]), [0.0]), sd.InvalidInput,
+     "^weights "),
+    ("pot-complex", lambda tmp: lse_rows(ReductionPlan(1, 2), np.zeros(2), np.zeros(2, complex),
+                                         np.zeros((2, 1)), np.zeros((1, 1)), SPEC),
+     sd.InvalidInput, "^pot "),
     ("warm-f-string", lambda tmp: evaluate("sinkhorn", *_pair(), params=PARAMS,
                                            warm={"f": "abc"}),
      sd.InvalidInput, "^init_f "),

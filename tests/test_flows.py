@@ -95,6 +95,15 @@ def test_record_times_map_to_nearest_step():
     assert times == pytest.approx([0.0, 0.3, 1.0])
 
 
+def test_record_times_given_as_a_generator_are_read_once():
+    alpha, beta = _segment_pair(n=4)
+    config = FlowConfig(loss="mmd-energy", dt=0.1, t_end=0.5,
+                        record_times=(t for t in (0.2, 0.3)))
+    assert config.effective_record_times() == (0.0, 0.2, 0.3, 0.5)
+    times = [t for t, _ in run_flow(alpha, beta, config).frames]
+    assert times == pytest.approx([0.0, 0.2, 0.3, 0.5])
+
+
 def test_half_step_record_times_go_to_the_later_step_and_the_last_is_t_end():
     alpha, beta = _segment_pair(n=4)
     halves = FlowConfig(loss="mmd-energy", dt=1.0, t_end=4.0, record_times=(0.5, 1.5, 2.5, 3.5))
