@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, _floats, _scale
+from .errors import InvalidInput, _count, _floats, _scale
 
 __all__ = ["CostSpec", "MmdKernelSpec", "cost", "mmd_kernel"]
 
@@ -38,7 +38,7 @@ class CostSpec:
     epsilon: float
 
     def __post_init__(self):
-        if self.p not in (1, 2):
+        if _count("p", self.p) not in (1, 2):
             raise InvalidInput(f"cost exponent must be 1 or 2, got {self.p}")
         _scale("epsilon", self.epsilon)
 

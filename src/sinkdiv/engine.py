@@ -2,19 +2,22 @@
 
 Every operation here reduces an implicit ``n_rows x n_cols`` matrix of terms
 (log-sum-exp rows, kernel sums, and their position-derivative companions)
-without the caller ever building that matrix. Each operation supplies only
-its term; one private function, :func:`_reduce`, does the rest:
+without the caller ever building that matrix. Each operation only checks its
+vectors and finishes the row sums; one private function, :func:`_reduce`,
+makes every term from data:
 
 * Rows are cut into blocks of ``rb = max(1, PAIR_BUDGET // n_cols)`` rows,
   so a block holds at most ``PAIR_BUDGET`` pairs (one 256 x 256 tile), or
   one row when a row alone is longer; memory stays linear in
   ``n_rows + n_cols``. ``dense`` mode is the same loop with one block.
-* Every reduction runs on a :class:`CostStore`: its validated points, each
-  worker's 64-byte-aligned block buffers and, for a solve, the kept costs.
-  A call without a store makes a one-shot store that keeps no costs. Only
-  :func:`_reduce` makes or reads blocks, building squared distances once in
-  :func:`costs.sq_dist_block`'s coordinate order; a :class:`costs.CostSpec`
-  store (log-domain terms) turns them there into ``C / eps`` and its scale.
+* Every reduction runs on the :class:`CostStore` that :func:`_bind` gives
+  it: validated points, each worker's 64-byte-aligned block buffers and, for
+  a solve, the kept costs; a call without a store gets a one-shot store that
+  keeps none. Only :func:`_reduce` makes or reads blocks, building squared
+  distances once in :func:`costs.sq_dist_block`'s coordinate order, and it
+  makes the terms that the store's spec picks: ``col_j - C_ij / eps`` (or
+  ``col_j + row_i - C_ij / eps``) for a :class:`costs.CostSpec`, and
+  ``w_j k(x_i, y_j)`` by :func:`_kernel_terms` for a kernel.
 * A solver passes one :class:`CostStore` per direction to its
   :func:`lse_rows` calls, which validate its log-weights once. The first
   call keeps every block's ``C / eps`` and later calls of the solve start
@@ -23,17 +26,17 @@ its term; one private function, :func:`_reduce`, does the rest:
 * A log-sum-exp row is shifted by its exact maximum over the whole row, then
   exponentiated. Row sums and gradient sums are accumulated tile by tile over
   ``tile_size``-column slices, in column order.
-* :func:`lse_rows` raises its shifted terms to ``EXP_FLOOR = -707`` before
-  the ``exp``: below about -708.4 the result is subnormal or 0, and NumPy's
-  vectorised ``exp`` then takes a path 18 to 180 times slower per block
-  (x86 Xeon), which small blur reaches through ``C / eps``. The bits stay:
-  every row holds the exact term ``exp(0) = 1``, and a raised term is below
-  ``e^-707 ~ 9e-308``, under half an ulp of any partial sum above about
-  ``1e-291``. So only sums of such tiny terms change, and they round away
-  when they meet the row's unit term. The pass is skipped when no term can
-  fall that low: a row's terms span at most ``ptp(col) + diam^p / eps``,
-  with ``diam`` the diagonal of both clouds' joint bounding box, computed
-  once per :class:`CostStore` when :func:`lse_rows` first asks for it.
+* Without gradient sums, :func:`_reduce` raises shifted log-domain terms to
+  ``EXP_FLOOR = -707`` before the ``exp``: below about -708.4 the result is
+  subnormal or 0, and NumPy's vectorised ``exp`` then takes a path 18 to 180
+  times slower per block (x86 Xeon), which small blur reaches through
+  ``C / eps``. The bits stay: every row holds the exact term ``exp(0) = 1``,
+  and a raised term is below ``e^-707 ~ 9e-308``, under half an ulp of any
+  partial sum above about ``1e-291``. So only sums of such tiny terms
+  change, and they round away when they meet the row's unit term. The pass
+  is skipped when no term can fall that low: a row's terms span at most
+  ``ptp(col) + diam^p / eps``, with ``diam`` the diagonal of both clouds'
+  joint bounding box, computed once per :class:`CostStore` when first needed.
   :func:`exp_grad_rows` and :func:`lse_rows_with_grad` are never clamped:
   the first rescales by ``exp(mx)``, which can lift a raised term back to
   order 1, and the second sums a gradient with no unit term (exactly 0 in a
@@ -239,27 +242,26 @@ def _aligned_empty(shape) -> np.ndarray:
     return raw[start:start + raw.size - 7].reshape(shape)
 
 
-def _reduce(op, store, vecs, term, *, sums=True, grad=False, clamp=False):
+def _reduce(op, store, vecs, col, row=None, *, sums=True, grad=False):
     """The one reduction loop, run on ``store``; returns the per-row
     accumulators ``(mx, acc, gacc)``.
 
     Each block of rows ``r0:r1`` is made or read here alone: the store's
     kept slice, else the ``sq`` buffer, gets squared distances unless kept
-    already, and for a :class:`costs.CostSpec` store (log-domain terms,
-    ``lse``) becomes ``C / eps``, with its gradient ``scale`` (in ``aux``
-    with ``grad``). ``term(sq, diff, aux, r0, r1, block, scale)`` returns
-    ``(weights, scale, gweights)``: what is summed along each row, the
-    per-pair factor turning a coordinate difference into a gradient entry,
-    and the weights of the gradient sums (``diff``, free until those sums,
-    and ``aux`` are spare block buffers when ``grad``). Kept blocks serve
-    no ``grad``. With ``lse`` the weights are first shifted by their exact
-    row maximum ``mx``, raised to ``EXP_FLOOR`` if ``clamp``, and
-    exponentiated. ``acc`` holds the row sums of the weights (``sums``),
-    ``gacc`` those of ``diff_k * scale * gweights`` (``grad``). ``vecs``
-    are the call's validated input vectors, counted in its accounting.
+    already. The store's spec picks the terms. A :class:`costs.CostSpec`
+    (``lse``) turns the block into ``C / eps`` with its gradient ``scale``;
+    the terms ``col_j - C_ij / eps``, or ``col_j + (row_i - C_ij / eps)``
+    given ``row``, also weigh the gradient sums. They are shifted by their
+    exact row maximum ``mx``, raised to ``EXP_FLOOR`` when not ``grad`` and
+    :func:`_may_underflow`, and exponentiated. A kernel's terms come from
+    :func:`_kernel_terms` with the weights ``col``. Kept blocks serve no
+    ``grad``. ``acc`` holds the row sums of the terms (``sums``), ``gacc``
+    those of ``diff_k * scale * gweights`` (``grad``); ``vecs``, the call's
+    validated input vectors, are counted in its accounting.
     """
-    plan, xs, ys, cost = store.plan, store.xs, store.ys, store.cost
-    lse = isinstance(store.spec, CostSpec)
+    plan, xs, ys, cost, spec = store.plan, store.xs, store.ys, store.cost, store.spec
+    lse = isinstance(spec, CostSpec)
+    clamp = lse and not grad and _may_underflow(col, store.span)
     (n, d), m = xs.shape, ys.shape[0]
     rb = n if plan.mode == "dense" else min(n, max(1, PAIR_BUDGET // m))
     tile = plan.tile_size
@@ -277,12 +279,17 @@ def _reduce(op, store, vecs, term, *, sums=True, grad=False, clamp=False):
             r1 = min(r0 + rb, n)
             sq, diff, aux = [*bufs[:, : r1 - r0], None, None][:3]
             block = sq if cost is None else cost[r0:r1]
-            scale = None
             if cost is None or not store.ready:
                 sq_dist_block(xs[r0:r1], ys, out=block, work=diff)
                 if lse:
-                    scale = _scaled_cost(store.spec, block, aux if grad else None)
-            weights, scale, gweights = term(sq, diff, aux, r0, r1, block, scale)
+                    scale = _scaled_cost(spec, block, aux if grad else None)
+            if not lse:
+                weights, scale, gweights = _kernel_terms(spec, col, sq, diff, aux, grad)
+            elif row is None:
+                weights = gweights = np.subtract(col, block, out=sq)
+            else:
+                np.subtract(row[r0:r1, None], block, out=sq)
+                weights = gweights = np.add(col, sq, out=sq)
             if lse:
                 row_max = weights.max(axis=1)
                 mx[r0:r1] = row_max
@@ -340,55 +347,51 @@ def _scaled_cost(spec: CostSpec, sq: np.ndarray, aux=None):
     return scale
 
 
-def _cost_term(col, row=None):
-    """Term ``col_j - C_ij / eps``, or ``col_j + (row_i - C_ij / eps)`` given
-    ``row``, written into ``sq`` from the block ``cost`` of ``C / eps`` that
-    :func:`_reduce` made or read; its ``scale`` passes through."""
-
-    def term(sq, diff, aux, r0, r1, cost, scale):
-        if row is None:
-            np.subtract(col, cost, out=sq)
-        else:
-            np.subtract(row[r0:r1, None], cost, out=sq)
-            np.add(col, sq, out=sq)
-        return sq, scale, sq
-
-    return term
-
-
-def _kernel_term(kspec: MmdKernelSpec, w, grad=False):
-    """Term ``w_j k(x_i, y_j)``; with ``grad`` also the scale of
-    ``dk(x_i, y_j)/dx_i``, whose gradient sums take the weights ``w``."""
-    kind, s = kspec.kind, kspec.sigma
-
-    def term(sq, diff, aux, *_):
-        if kind == "gaussian":
-            np.multiply(sq, -0.5 / s**2, out=sq)
-            np.exp(sq, out=sq)
-        else:
-            np.sqrt(sq, out=sq)
-            inv = _inverse(sq, aux) if grad else None
-            if kind == "energy":
-                np.negative(sq, out=sq)
-            else:
-                np.multiply(sq, -1.0 / s, out=sq)
-                np.exp(sq, out=sq)
-        if not grad:
-            return np.multiply(sq, w, out=sq), None, None
-        rows = np.multiply(sq, w, out=diff)
-        if kind == "gaussian":
-            return rows, np.multiply(sq, -1.0 / s**2, out=sq), w
+def _kernel_terms(spec: MmdKernelSpec, w, sq, diff, aux, grad):
+    """Terms ``w_j k(x_i, y_j)`` from the squared distances ``sq``, for
+    :func:`_reduce` alone, as ``(weights, scale, gweights)``: with ``grad``
+    also the scale of ``dk(x_i, y_j)/dx_i``, whose gradient sums take the
+    weights ``w``; ``diff`` and ``aux`` are spare block buffers then."""
+    kind, s = spec.kind, spec.sigma
+    if kind == "gaussian":
+        np.multiply(sq, -0.5 / s**2, out=sq)
+        np.exp(sq, out=sq)
+    else:
+        np.sqrt(sq, out=sq)
+        inv = _inverse(sq, aux) if grad else None
         if kind == "energy":
-            return rows, np.negative(inv, out=inv), w
-        np.multiply(sq, -1.0 / s, out=sq)
-        return rows, np.multiply(sq, inv, out=sq), w
-
-    return term
+            np.negative(sq, out=sq)
+        else:
+            np.multiply(sq, -1.0 / s, out=sq)
+            np.exp(sq, out=sq)
+    if not grad:
+        return np.multiply(sq, w, out=sq), None, None
+    rows = np.multiply(sq, w, out=diff)
+    if kind == "gaussian":
+        return rows, np.multiply(sq, -1.0 / s**2, out=sq), w
+    if kind == "energy":
+        return rows, np.negative(inv, out=inv), w
+    np.multiply(sq, -1.0 / s, out=sq)
+    return rows, np.multiply(sq, inv, out=sq), w
 
 
 # ---------------------------------------------------------------------------
-# The five reductions: each validates its vectors and passes its term to _reduce
+# The five reductions: each binds its store, checks its vectors, finishes the sums
 # ---------------------------------------------------------------------------
+
+
+def _bind(plan, targets, sources, spec, store=None, logw=None) -> CostStore:
+    """The store a reduction runs on: a one-shot store without ``store``,
+    else ``store`` if it was made for these arguments. ``logw`` is checked
+    once per array a store is handed, and read back as ``store.logw[1]``."""
+    if store is None:
+        store = _OneShot(plan, targets, sources, spec)
+    elif not (targets is store.targets and sources is store.sources
+              and plan == store.plan and spec == store.spec):
+        raise InvalidInput("cost store was made for other points, plan or cost")
+    if logw is not None and logw is not store.logw[0]:
+        store.logw = (logw, _check_vector("logw", logw, plan.n_cols))
+    return store
 
 
 def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np.ndarray,
@@ -402,18 +405,9 @@ def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np
     computed with an exact row maximum shift, so the output is finite for
     any finite inputs. Calls sharing a ``store`` build each cost block once.
     """
-    if store is None:
-        store = _OneShot(plan, targets, sources, spec)
-    elif not (targets is store.targets and sources is store.sources
-              and plan == store.plan and spec == store.spec):
-        raise InvalidInput("cost store was made for other points, plan or cost")
-    if logw is not store.logw[0]:
-        store.logw = (logw, _check_vector("logw", logw, plan.n_cols))
-    logw = store.logw[1]
-    pot = _check_vector("pot", pot, plan.n_cols)
-    col = logw + pot / spec.epsilon
-    mx, acc, _ = _reduce("lse_rows", store, (logw, pot), _cost_term(col),
-                         clamp=_may_underflow(col, store.span))
+    store = _bind(plan, targets, sources, spec, store, logw)
+    logw, pot = store.logw[1], _check_vector("pot", pot, plan.n_cols)
+    mx, acc, _ = _reduce("lse_rows", store, (logw, pot), logw + pot / spec.epsilon)
     return mx + np.log(acc)
 
 
@@ -426,11 +420,10 @@ def lse_rows_with_grad(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray,
     ``sum_j softmax_ij * dC(x_i, y_j)/dx_i`` of cost gradients under the
     softmax weights implied by the same terms as :func:`lse_rows`.
     """
-    store = _OneShot(plan, targets, sources, spec)
-    logw = _check_vector("logw", logw, plan.n_cols)
-    pot = _check_vector("pot", pot, plan.n_cols)
+    store = _bind(plan, targets, sources, spec, logw=logw)
+    logw, pot = store.logw[1], _check_vector("pot", pot, plan.n_cols)
     mx, acc, gacc = _reduce("lse_rows_with_grad", store, (logw, pot),
-                            _cost_term(logw + pot / spec.epsilon), grad=True)
+                            logw + pot / spec.epsilon, grad=True)
     return mx + np.log(acc), gacc / acc[:, None]
 
 
@@ -443,20 +436,20 @@ def exp_grad_rows(plan: ReductionPlan, colw_log: np.ndarray, row_pot: np.ndarray
     restored at the end, so the caller is responsible for keeping the true row
     scale within floating-point range (bounded sums are safe).
     """
-    store = _OneShot(plan, targets, sources, spec)
+    store = _bind(plan, targets, sources, spec)
     colw_log = _check_vector("colw_log", colw_log, plan.n_cols)
     row_pot = _check_vector("row_pot", row_pot, plan.n_rows)
-    mx, _, gacc = _reduce("exp_grad_rows", store, (colw_log, row_pot),
-                          _cost_term(colw_log, row_pot / spec.epsilon), sums=False, grad=True)
+    mx, _, gacc = _reduce("exp_grad_rows", store, (colw_log, row_pot), colw_log,
+                          row_pot / spec.epsilon, sums=False, grad=True)
     return np.exp(mx)[:, None] * gacc
 
 
 def kernel_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarray,
                 sources: np.ndarray, kspec: MmdKernelSpec) -> np.ndarray:
     """Rows of the kernel convolution: ``out[i] = sum_j w_j k(x_i, y_j)``."""
-    store = _OneShot(plan, targets, sources, kspec)
+    store = _bind(plan, targets, sources, kspec)
     w = _check_vector("weights", weights, plan.n_cols)
-    return _reduce("kernel_rows", store, (w,), _kernel_term(kspec, w))[1]
+    return _reduce("kernel_rows", store, (w,), w)[1]
 
 
 def kernel_grad_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarray,
@@ -466,10 +459,9 @@ def kernel_grad_rows(plan: ReductionPlan, weights: np.ndarray, targets: np.ndarr
     Returns ``(rows, grad)``: ``rows`` has the bits of :func:`kernel_rows`,
     and ``grad[i] = sum_j w_j dk(x_i, y_j)/dx_i``, shape ``(n, d)``.
     """
-    store = _OneShot(plan, targets, sources, kspec)
+    store = _bind(plan, targets, sources, kspec)
     w = _check_vector("weights", weights, plan.n_cols)
-    return _reduce("kernel_grad_rows", store, (w,), _kernel_term(kspec, w, grad=True),
-                   grad=True)[1:]
+    return _reduce("kernel_grad_rows", store, (w,), w, grad=True)[1:]
 
 
 def softmin(measure: DiscreteMeasure, phi: np.ndarray, spec: CostSpec,

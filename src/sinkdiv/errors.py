@@ -66,8 +66,8 @@ class GradientUnreliable(SinkdivError):
 
 
 def _count(name: str, value, low: int | None = None) -> int:
-    """``value``, an integer (NumPy's included) of at least ``low`` if given."""
-    if not isinstance(value, (int, np.integer)):
+    """``value``, an integer (NumPy's, but no ``bool``) of at least ``low`` if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise InvalidInput(f"{name} must be >= {low}, got {value}")
@@ -75,9 +75,9 @@ def _count(name: str, value, low: int | None = None) -> int:
 
 
 def _scale(name: str, value, zero: bool = False):
-    """``value``, a finite real number above 0, or at least 0 with ``zero``."""
-    if not (isinstance(value, (int, float, np.integer, np.floating)) and math.isfinite(value)
-            and (value >= 0 if zero else value > 0)):
+    """``value``, a finite real number but no ``bool``, above 0, or at least 0 with ``zero``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (value >= 0 if zero else value > 0)):
         sign = "nonnegative" if zero else "positive"
         raise InvalidInput(f"{name} must be {sign} and finite, got {value!r}")
     return value

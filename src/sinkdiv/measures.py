@@ -57,8 +57,9 @@ def from_arrays(weights, positions) -> DiscreteMeasure:
     """Build a measure from raw arrays.
 
     Zero-weight atoms are dropped and the remaining weights renormalized to
-    total mass one. Raises ``InvalidInput`` for entries that are not numbers
-    or are negative, NaN or infinite, mismatched lengths or points without
+    total mass one; an atom whose weight rounds to 0 then is dropped too.
+    Raises ``InvalidInput`` for entries that are not numbers or are
+    negative, NaN or infinite, mismatched lengths or points without
     coordinates, and ``DegenerateMeasure`` if no atom survives filtering.
     """
     w = _floats("weights", weights)
@@ -77,17 +78,19 @@ def from_arrays(weights, positions) -> DiscreteMeasure:
     keep = w > 0
     if not np.any(keep):
         raise DegenerateMeasure("measure has no atoms with positive weight")
-    w = w[keep]
-    x = x[keep]
-    total = w.sum()
+    w, x = w[keep], x[keep]
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):  # weights summing past the float range
+        w = w / w.max()
+        total = w.sum()
     # Normalize to unit mass, but leave already-normalized weights bit-exact
-    # so that save -> load is the identity.
+    # so that save -> load is the identity; drop weights that round to 0.
     if abs(total - 1.0) > 1e-12:
         w = w / total
-    else:
-        w = w.copy()
+    keep = w > 0
+    w, x = w[keep], np.ascontiguousarray(x[keep])
     w.setflags(write=False)
-    x = np.ascontiguousarray(x)
     x.setflags(write=False)
     return DiscreteMeasure(weights=w, positions=x)
 

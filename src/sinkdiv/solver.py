@@ -296,7 +296,7 @@ def _dense_plan(alpha: DiscreteMeasure, beta: DiscreteMeasure, f, g, spec: CostS
     weights ``alpha_i beta_j`` and plan ``pi = alpha_i beta_j exp(z)``;
     ``what`` names the result in the error beyond ``max_entries`` entries."""
     n, m = alpha.n_atoms, beta.n_atoms
-    if n * m > max_entries:
+    if n * m > _count("max_entries", max_entries, 0):
         raise TooLarge(f"{what} would hold {n * m} entries (limit {max_entries})")
     f = _check_vector("f", f, n)
     g = _check_vector("g", g, m)

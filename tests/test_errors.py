@@ -46,11 +46,21 @@ BAD_INPUTS = [
      sd.InvalidInput, "^tile_size "),
     ("n-rows-array", lambda tmp: ReductionPlan(np.array([3]), 3), sd.InvalidInput, "^n_rows "),
     ("samples-float", lambda tmp: sd.sample_unit_square(2.5), sd.InvalidInput, "^n "),
+    ("samples-bool", lambda tmp: sd.sample_unit_square(True), sd.InvalidInput, "^n "),
+    ("p-bool", lambda tmp: sd.CostSpec(True, 0.1), sd.InvalidInput, "^p "),
+    ("solver-p-bool", lambda tmp: sd.SolverParams(0.1, p=True), sd.InvalidInput, "^p "),
+    ("max-entries-nan", lambda tmp: sd.plan_matrix(*_pair(), np.zeros(2), np.zeros(1), SPEC,
+                                                   max_entries=NAN),
+     sd.InvalidInput, "^max_entries "),
+    ("max-entries-string", lambda tmp: sd.plan_diagnostics(*_pair(), np.zeros(2), np.zeros(1),
+                                                           SPEC, max_entries="9"),
+     sd.InvalidInput, "^max_entries "),
     ("threads-float", lambda tmp: sd.set_threads(2.5), sd.InvalidInput, "^thread count "),
     # scales
     ("epsilon-string", lambda tmp: sd.CostSpec(2, "0.1"), sd.InvalidInput, "^epsilon "),
     ("epsilon-none", lambda tmp: sd.CostSpec(2, None), sd.InvalidInput, "^epsilon "),
     ("epsilon-nan", lambda tmp: sd.CostSpec(2, NAN), sd.InvalidInput, "^epsilon "),
+    ("epsilon-bool", lambda tmp: sd.CostSpec(2, True), sd.InvalidInput, "^epsilon "),
     ("sigma-string", lambda tmp: sd.MmdKernelSpec("gaussian", "1"), sd.InvalidInput, "^sigma "),
     ("sigma-array", lambda tmp: sd.MmdKernelSpec("gaussian", np.array([1.0])), sd.InvalidInput,
      "^sigma "),

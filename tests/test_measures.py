@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sinkdiv as sd
+from sinkdiv.losses import evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +35,23 @@ def test_from_arrays_drops_zero_weight_atoms():
     m = sd.from_arrays([0.5, 0.0, 0.5], [[0.0], [1.0], [2.0]])
     assert m.n_atoms == 2
     assert np.allclose(m.positions[:, 0], [0.0, 2.0])
+
+
+def test_from_arrays_keeps_weights_positive_and_of_unit_mass_at_float_extremes():
+    # weights summing past the float range, and one that rounds to 0 when
+    # divided by the total: each measure is the clean one it stands for
+    clean = sd.from_arrays([0.5, 0.5], [[0.0], [1.0]])
+    huge = sd.from_arrays([1e308, 1e308], [[0.0], [1.0]])
+    assert np.array_equal(huge.weights, clean.weights)
+    tiny = sd.from_arrays([1e-300, 1e300, 1e300], [[5.0], [0.0], [1.0]])
+    assert np.array_equal(tiny.weights, clean.weights)
+    assert np.array_equal(tiny.positions, clean.positions)
+    beta = sd.from_arrays([1.0], [[0.25]])
+    params = sd.SolverParams(epsilon=0.1)
+    for loss, options in (("mmd-energy", {}), ("sinkhorn", {"params": params})):
+        want = evaluate(loss, clean, beta, **options)[0]
+        for alpha in (huge, tiny):
+            assert evaluate(loss, alpha, beta, **options)[0] == want
 
 
 def test_from_arrays_rejects_bad_inputs():
