@@ -18,11 +18,10 @@ makes every term from data:
   makes the terms that the store's spec picks: ``col_j - C_ij / eps`` (or
   ``col_j + row_i - C_ij / eps``) for a :class:`costs.CostSpec`, and
   ``w_j k(x_i, y_j)`` by :func:`_kernel_terms` for a kernel.
-* A solver passes one :class:`CostStore` per direction to its
-  :func:`lse_rows` calls, which validate its log-weights once. The first
-  call keeps every block's ``C / eps`` and later calls of the solve start
-  from it, for ``8 n_rows n_cols`` bytes per direction, up to
-  ``CACHE_PAIRS`` pairs; larger problems stream in linear memory.
+* A solve or a loss passes one :class:`CostStore` per support pair and
+  direction to the reductions it makes there: the first call keeps every
+  block's ``C / eps`` and later ones, gradients included, start from it, up
+  to ``CACHE_PAIRS`` pairs; larger problems stream in linear memory.
 * A log-sum-exp row is shifted by its exact maximum over the whole row, then
   exponentiated. Row sums and gradient sums are accumulated tile by tile over
   ``tile_size``-column slices, in column order.
@@ -127,7 +126,7 @@ class ReductionStats:
     unless a single row is longer. ``peak_bytes`` adds up the inputs, the
     per-row outputs and the :attr:`CostStore.nbytes` of the store the call
     ran on: the block buffers of every worker, plus the kept costs of a
-    solve's store. A cross solve holds one such store per direction.
+    store that keeps them. A cross solve holds one such store per direction.
     """
 
     op: str
@@ -175,21 +174,23 @@ class CostStore:
     """What a reduction runs on: the validated points of one direction, each
     worker's block buffers and, for a solve, the scaled costs ``C / eps``.
 
-    A solver makes one store per direction of a solve and passes it to every
-    :func:`lse_rows` call in that direction, with the plan, point arrays and
-    cost it was made for. The points are validated once, when the store is
-    made, and the log-weights once per array handed in. While ``n_rows *
-    n_cols <= CACHE_PAIRS`` the first call keeps each row block's ``C / eps``
-    and later calls start from it. The workers' block buffers are kept too,
-    so a store serves one solve at a time. A call without a store runs on a
-    one-shot store that keeps no costs, with bitwise the same results.
-    Neither the points nor the log-weights may change while a store is in use.
+    A solve or a loss makes one store per support pair and direction and
+    passes it to every reduction there, with the plan, point arrays and cost
+    it was made for. The points are validated once, when the store is made,
+    and the log-weights once per array handed in. While ``n_rows * n_cols
+    <= CACHE_PAIRS`` the first call keeps each row block's ``C / eps``, or
+    copies them bitwise transposed from a ready ``mirror``, and later calls
+    start from it. The workers' block buffers are kept too, so a store
+    serves one evaluation at a time; made with a ``spare`` store of its plan,
+    it takes over the spare's arrays, none of its values. A call without a
+    store runs on a one-shot store that keeps no costs, with bitwise the
+    same results. Neither points nor log-weights may change while in use.
     """
 
     keeps = True  # whether the store may keep C / eps; a one-shot store does not
 
     def __init__(self, plan: ReductionPlan, targets: np.ndarray, sources: np.ndarray,
-                 spec: CostSpec):
+                 spec: CostSpec, *, spare: CostStore | None = None):
         self.plan, self.targets, self.sources, self.spec = plan, targets, sources, spec
         ys = _check_points("targets", targets)
         xs = _check_points("sources", sources)
@@ -199,11 +200,15 @@ class CostStore:
             raise InvalidInput(f"plan is {plan.n_rows}x{plan.n_cols} but data is {len(xs)}x{len(ys)}")
         # contiguous coordinate columns: the same values, broadcast faster
         self.xs, self.ys = np.asfortranarray(xs), np.asfortranarray(ys)
+        self.ready = False
+        self.logw = (None, None)  # the log-weights last handed in, and validated
+        self.mirror = None  # a store of the other direction to copy the costs of
+        if spare is not None and spare.plan == plan:  # its arrays, none of its values
+            self.cost, self.bufs = spare.cost, dict(spare.bufs)
+            return
         kept = self.keeps and plan.n_rows * plan.n_cols <= CACHE_PAIRS
         self.cost = _aligned_empty((plan.n_rows, plan.n_cols)) if kept else None
-        self.ready = False
         self.bufs = {}  # worker index -> that worker's block buffers
-        self.logw = (None, None)  # the log-weights last handed in, and validated
 
     @property
     def nbytes(self) -> int:
@@ -254,12 +259,16 @@ def _reduce(op, store, vecs, col, row=None, *, sums=True, grad=False):
     given ``row``, also weigh the gradient sums. They are shifted by their
     exact row maximum ``mx``, raised to ``EXP_FLOOR`` when not ``grad`` and
     :func:`_may_underflow`, and exponentiated. A kernel's terms come from
-    :func:`_kernel_terms` with the weights ``col``. Kept blocks serve no
-    ``grad``. ``acc`` holds the row sums of the terms (``sums``), ``gacc``
-    those of ``diff_k * scale * gweights`` (``grad``); ``vecs``, the call's
-    validated input vectors, are counted in its accounting.
+    :func:`_kernel_terms` with the weights ``col``. A kept block's ``p = 1``
+    gradient scale is made from its squared distances built again. ``acc``
+    holds the row sums of the terms (``sums``), ``gacc`` those of ``diff_k *
+    scale * gweights`` (``grad``); ``vecs``, the call's validated input
+    vectors, are counted in its accounting.
     """
     plan, xs, ys, cost, spec = store.plan, store.xs, store.ys, store.cost, store.spec
+    if cost is not None and not store.ready and store.mirror and store.mirror.ready:
+        np.copyto(cost, store.mirror.cost.T)
+        store.ready, store.mirror = True, None
     lse = isinstance(spec, CostSpec)
     clamp = lse and not grad and _may_underflow(col, store.span)
     (n, d), m = xs.shape, ys.shape[0]
@@ -272,7 +281,8 @@ def _reduce(op, store, vecs, col, row=None, *, sums=True, grad=False):
     workers = min(_WORKERS, -(-n // rb))  # at most one per row block
 
     def work(first):
-        if first not in store.bufs:
+        if len(store.bufs.get(first, ())) < n_buf:  # a 1D store grows for its first gradient
+            store.bufs.pop(first, None)  # freed before its successor is made
             store.bufs[first] = _aligned_empty((n_buf, rb, m))
         bufs = store.bufs[first]
         for r0 in range(first * rb, n, workers * rb):
@@ -283,6 +293,9 @@ def _reduce(op, store, vecs, col, row=None, *, sums=True, grad=False):
                 sq_dist_block(xs[r0:r1], ys, out=block, work=diff)
                 if lse:
                     scale = _scaled_cost(spec, block, aux if grad else None)
+            elif grad:  # a kept block: p = 1 builds its distances again for the scale
+                scale = 2.0 if spec.p == 2 else _inverse(
+                    np.sqrt(sq_dist_block(xs[r0:r1], ys, out=sq, work=diff), out=sq), aux)
             if not lse:
                 weights, scale, gweights = _kernel_terms(spec, col, sq, diff, aux, grad)
             elif row is None:
@@ -412,15 +425,16 @@ def lse_rows(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray, targets: np
 
 
 def lse_rows_with_grad(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray,
-                       targets: np.ndarray, sources: np.ndarray,
-                       spec: CostSpec) -> tuple[np.ndarray, np.ndarray]:
+                       targets: np.ndarray, sources: np.ndarray, spec: CostSpec,
+                       store: CostStore | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Log-sum-exp rows plus the softmax-weighted cost gradient.
 
     Returns ``(lse, grad)`` where ``grad[i]`` is the convex combination
     ``sum_j softmax_ij * dC(x_i, y_j)/dx_i`` of cost gradients under the
-    softmax weights implied by the same terms as :func:`lse_rows`.
+    softmax weights implied by the same terms as :func:`lse_rows` (and on a
+    ``store`` as it).
     """
-    store = _bind(plan, targets, sources, spec, logw=logw)
+    store = _bind(plan, targets, sources, spec, store, logw)
     logw, pot = store.logw[1], _check_vector("pot", pot, plan.n_cols)
     mx, acc, gacc = _reduce("lse_rows_with_grad", store, (logw, pot),
                             logw + pot / spec.epsilon, grad=True)
@@ -428,15 +442,17 @@ def lse_rows_with_grad(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray,
 
 
 def exp_grad_rows(plan: ReductionPlan, colw_log: np.ndarray, row_pot: np.ndarray,
-                  targets: np.ndarray, sources: np.ndarray, spec: CostSpec) -> np.ndarray:
+                  targets: np.ndarray, sources: np.ndarray, spec: CostSpec,
+                  store: CostStore | None = None) -> np.ndarray:
     """Unnormalized exp-weighted cost-gradient rows.
 
     Returns ``out[i] = sum_j exp(colw_log_j + (row_pot_i - C(x_i, y_j)) / eps)
     * dC(x_i, y_j)/dx_i`` with an internal row maximum shift. The exponent is
     restored at the end, so the caller is responsible for keeping the true row
-    scale within floating-point range (bounded sums are safe).
+    scale within floating-point range (bounded sums are safe). ``store`` as
+    in :func:`lse_rows`.
     """
-    store = _bind(plan, targets, sources, spec)
+    store = _bind(plan, targets, sources, spec, store)
     colw_log = _check_vector("colw_log", colw_log, plan.n_cols)
     row_pot = _check_vector("row_pot", row_pot, plan.n_rows)
     mx, _, gacc = _reduce("exp_grad_rows", store, (colw_log, row_pot), colw_log,

@@ -77,7 +77,11 @@ def _count(name: str, value, low: int | None = None) -> int:
 def _scale(name: str, value, zero: bool = False):
     """``value``, a finite real number but no ``bool``, above 0, or at least 0 with ``zero``."""
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and (value >= 0 if zero else value > 0)):
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (finite and (value >= 0 if zero else value > 0)):
         sign = "nonnegative" if zero else "positive"
         raise InvalidInput(f"{name} must be {sign} and finite, got {value!r}")
     return value

@@ -32,6 +32,7 @@ import numpy as np
 
 from .costs import KERNEL_KINDS, MmdKernelSpec
 from .engine import (
+    CostStore,
     ReductionPlan,
     exp_grad_rows,
     kernel_grad_rows,
@@ -126,13 +127,32 @@ def _target_dual(beta, params, warm):
 
 
 def _extension(params: SolverParams, source: DiscreteMeasure, potential: np.ndarray,
-               target: DiscreteMeasure, grad: bool = False):
+               target: DiscreteMeasure, grad: bool = False, store=None):
     """Row log-sums of the soft-minimum extension ``T(source, potential)`` at
     ``target``'s points (``T = -eps * lse``) and their gradient in those
-    points, which is None unless ``grad`` is set."""
+    points, which is None unless ``grad`` is set; on ``store`` if given."""
     args = (ReductionPlan(target.n_atoms, source.n_atoms), source.log_weights, potential,
-            source.positions, target.positions, params.cost_spec)
+            source.positions, target.positions, params.cost_spec, store)
     return lse_rows_with_grad(*args) if grad else (lse_rows(*args), None)
+
+
+def _store(warm: dict, key: str, source: DiscreteMeasure, target: DiscreteMeasure,
+           params: SolverParams) -> CostStore:
+    """The :class:`CostStore` of rows on ``target``'s support against
+    ``source``'s, on the arrays of the store ``warm`` keeps under ``key``."""
+    plan = ReductionPlan(target.n_atoms, source.n_atoms)
+    return CostStore(plan, source.positions, target.positions, params.cost_spec,
+                     spare=warm.get("stores", {}).get(key))
+
+
+def _cross(alpha, beta, params, warm, stores, init_f, want_grad):
+    """The cross solve, on a store put in ``stores`` with, in a warm call, its
+    mirror, and with ``want_grad`` its gradient term in ``alpha``'s points."""
+    ab = stores["ab"] = _store(warm, "ab", beta, alpha, params)
+    if warm:
+        ab.mirror = stores["ba"] = _store(warm, "ba", alpha, beta, params)
+    cross = sinkhorn(alpha, beta, params, init_f=init_f, store=ab)
+    return cross, _extension(params, beta, cross.g, alpha, True, ab)[1] if want_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +177,11 @@ def evaluate(loss: str, alpha: DiscreteMeasure, beta: DiscreteMeasure, *,
     moved ``alpha``. It holds a transport loss's potentials and, with a
     value, ``beta``'s own terms as ``target`` (``<beta, K beta>`` or its
     :class:`SymmetricDual`), reused for the same ``beta`` object and an
-    equal spec only (a self solve also only if it converged). Like a
-    :class:`CostStore`, it is valid only while ``beta``'s arrays are unchanged.
+    equal spec only (a self solve also only if it converged). Its
+    ``stores`` hold a transport loss's cost blocks, whose memory the next
+    evaluation takes over; a call with no warm state frees ``alpha``'s own
+    block early. Like a :class:`CostStore`, a warm dict serves one
+    evaluation at a time and only while ``beta``'s arrays are unchanged.
 
     Returns ``(value, gradient, warm_out, diagnostics)``. ``value`` is None
     unless ``want_value``; ``gradient`` is a :class:`LossGradient`, or None
@@ -209,26 +232,31 @@ def _loss_spec(loss: str, params: SolverParams | None = None,
 
 
 def _ot_eps(alpha, beta, params, warm, want_value, want_grad):
-    cross = sinkhorn(alpha, beta, params, init_f=warm.get("f"))
+    stores = {}
+    cross, cross_grad = _cross(alpha, beta, params, warm, stores, warm.get("f"), want_grad)
     value = dual_value(alpha, beta, cross.f, cross.g) if want_value else None
-    grad = None
-    if want_grad:
-        _, cross_grad = _extension(params, beta, cross.g, alpha, grad=True)
-        grad = cross.f.copy(), alpha.weights[:, None] * cross_grad
-    return value, grad, {"f": cross.f}, {"cross": cross}
+    grad = (cross.f.copy(), alpha.weights[:, None] * cross_grad) if want_grad else None
+    return value, grad, {"f": cross.f, "stores": stores}, {"cross": cross}
 
 
 def _sinkhorn(alpha, beta, params, warm, want_value, want_grad):
+    stores = {"aa": _store(warm, "aa", alpha, alpha, params)}
     # the cross solve starts from alpha's self potential: at equality that
     # already solves it, so value(alpha, alpha) == 0 to machine precision
-    auto_a = sinkhorn_symmetric(alpha, params, init_potential=warm.get("p"))
+    auto_a = sinkhorn_symmetric(alpha, params, init_potential=warm.get("p"),
+                                store=stores["aa"])
     p = auto_a.potential
+    if want_grad:
+        _, auto_grad = _extension(params, alpha, p, alpha, True, stores["aa"])
+    if not warm:  # a cold call frees alpha's own block before the cross solve
+        stores.clear()
     if want_value:
         auto_b, target = _target_dual(beta, params, warm)
     init_f = warm.get("f")
-    cross = sinkhorn(alpha, beta, params, init_f=p if init_f is None else init_f)
+    cross, cross_grad = _cross(alpha, beta, params, warm, stores,
+                               p if init_f is None else init_f, want_grad)
     states = {"cross": cross, "alpha_auto": auto_a}
-    warm_out = {"f": cross.f, "p": p}
+    warm_out = {"f": cross.f, "p": p, "stores": stores}
     value = grad = None
     if want_value:
         states["beta_auto"] = auto_b
@@ -238,8 +266,6 @@ def _sinkhorn(alpha, beta, params, warm, want_value, want_grad):
             + np.dot(beta.weights, cross.g - auto_b.potential)
         )
     if want_grad:
-        _, cross_grad = _extension(params, beta, cross.g, alpha, grad=True)
-        _, auto_grad = _extension(params, alpha, p, alpha, grad=True)
         grad = cross.f - p, alpha.weights[:, None] * (cross_grad - auto_grad)
     return value, grad, warm_out, states
 
@@ -247,12 +273,30 @@ def _sinkhorn(alpha, beta, params, warm, want_value, want_grad):
 def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
     spec = params.cost_spec
     eps = spec.epsilon
-    n, m = alpha.n_atoms, beta.n_atoms
-    auto_a = sinkhorn_symmetric(alpha, params, init_potential=warm.get("p"))
+    stores = {"aa": _store(warm, "aa", alpha, alpha, params)}
+    auto_a = sinkhorn_symmetric(alpha, params, init_potential=warm.get("p"),
+                                store=stores["aa"])
+    p = auto_a.potential
+
+    def column(target, lse_p, store):
+        # Column-side terms: how moving atom x_i changes T(alpha, p) at each
+        # evaluation point z, weighted by the measure sitting at z.
+        return exp_grad_rows(ReductionPlan(alpha.n_atoms, target.n_atoms),
+                             target.log_weights - lse_p, p, target.positions,
+                             alpha.positions, spec, store)
+
+    if want_grad:  # alpha's own terms first, on its self solve's block
+        lse_p_on_a, grad_p_on_a = _extension(params, alpha, p, alpha, True, stores["aa"])
+        _require_finite(lse_p_on_alpha=lse_p_on_a)
+        col_on_a = column(alpha, lse_p_on_a, stores["aa"])
+    if not warm:  # a cold call frees alpha's own block before beta's solve
+        stores.clear()
     auto_b, target = _target_dual(beta, params, warm)
-    p, q = auto_a.potential, auto_b.potential
+    q = auto_b.potential
+    if want_grad:
+        stores["ab"] = _store(warm, "ab", beta, alpha, params)
     # row log-sums of the extensions T(beta, q) on alpha's support and T(alpha, p) on beta's
-    lse_q_on_a, grad_q_on_a = _extension(params, beta, q, alpha, grad=want_grad)
+    lse_q_on_a, grad_q_on_a = _extension(params, beta, q, alpha, want_grad, stores.get("ab"))
     lse_p_on_b, _ = _extension(params, alpha, p, beta)
     _require_finite(lse_q_on_alpha=lse_q_on_a, lse_p_on_beta=lse_p_on_b)
     q_on_alpha = -eps * lse_q_on_a
@@ -264,23 +308,12 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
             + np.dot(beta.weights, p_on_beta - q)
         )
     if want_grad:
-        lse_p_on_a, grad_p_on_a = _extension(params, alpha, p, alpha, grad=True)
-        _require_finite(lse_p_on_alpha=lse_p_on_a)
-        # Column-side terms: how moving atom x_i changes T(alpha, p) at each
-        # evaluation point z, weighted by the measure sitting at z.
-        col_on_a = exp_grad_rows(
-            ReductionPlan(n, n), alpha.log_weights - lse_p_on_a, p,
-            alpha.positions, alpha.positions, spec,
-        )
-        col_on_b = exp_grad_rows(
-            ReductionPlan(n, m), beta.log_weights - lse_p_on_b, p,
-            beta.positions, alpha.positions, spec,
-        )
+        col_on_b = column(beta, lse_p_on_b, stores["ab"])
         force = 0.5 * alpha.weights[:, None] * (
             grad_q_on_a - grad_p_on_a - col_on_a + col_on_b
         )
         grad = 0.5 * (q_on_alpha - p), force
-    warm_out = {"p": p, "q": q, "target": target}
+    warm_out = {"p": p, "q": q, "target": target, "stores": stores}
     return value, grad, warm_out, {"alpha_auto": auto_a, "beta_auto": auto_b}
 
 

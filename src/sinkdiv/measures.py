@@ -191,6 +191,6 @@ def sample_unit_square(n: int, seed=None) -> DiscreteMeasure:
     """Uniform weights on ``n`` i.i.d. points drawn uniformly from [0, 1]^2."""
     if _count("n", n) < 1:
         raise DegenerateMeasure(f"need at least one sample, got n={n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(None if seed is None else _count("seed", seed, 0))
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
     return from_arrays(np.full(n, 1.0 / n), pts)

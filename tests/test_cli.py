@@ -284,6 +284,7 @@ def test_bench_rejects_bad_sizes(capsys):
     (["bench", "--sizes", "16", "--repeats", "0"], "--repeats"),
     (["bench", "--sizes", "x"], "--sizes"),
     (["flow", "--record", "0,zz"], "--record"),
+    (["bench", "--sizes", "8", "--seed", "-1"], "seed"),
 ])
 def test_malformed_number_options_exit_2(measure_files, tmp_path, capsys, command, option):
     if command[0] == "flow":

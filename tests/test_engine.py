@@ -485,8 +485,14 @@ def test_every_vector_of_every_reduction_is_checked_by_name():
                             ("logw", 4), ("pot", 4)),
         "lse_rows_with_grad": (lambda a, b: lse_rows_with_grad(plan, a, b, ys, xs, spec),
                                ("logw", 4), ("pot", 4)),
+        "lse_rows_with_grad, store": (lambda a, b: lse_rows_with_grad(plan, a, b, ys, xs, spec,
+                                                                      store=store),
+                                      ("logw", 4), ("pot", 4)),
         "exp_grad_rows": (lambda a, b: exp_grad_rows(plan, a, b, ys, xs, spec),
                           ("colw_log", 4), ("row_pot", 3)),
+        "exp_grad_rows, store": (lambda a, b: exp_grad_rows(plan, a, b, ys, xs, spec,
+                                                            store=store),
+                                 ("colw_log", 4), ("row_pot", 3)),
         "kernel_rows": (lambda a: kernel_rows(plan, a, ys, xs, kspec), ("weights", 4)),
         "kernel_grad_rows": (lambda a: kernel_grad_rows(plan, a, ys, xs, kspec), ("weights", 4)),
     }
@@ -620,3 +626,41 @@ def test_cost_store_keeps_its_workers_block_buffers(monkeypatch):
             assert shapes == [(2, rows, m)] * made, (mode, call)
         assert store.nbytes == n * m * 8 + workers * 2 * rows * m * 8
         shapes.clear()
+
+
+@pytest.mark.parametrize("mode", ["streaming", "dense"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2])
+def test_kept_store_gives_gradient_reductions_the_bits_of_one_shot_calls(p, d, mode,
+                                                                         monkeypatch):
+    # blocks of 40 rows: 130 rows make four blocks in streaming mode; one
+    # store serves plain rows before its first gradient, the other starts
+    # with a gradient, which builds its blocks
+    rng = np.random.default_rng(805 + 10 * p + d)
+    n, m = 130, 90
+    xs, ys = rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, (m, d))
+    xs[7] = ys[3]  # coincident points: the p = 1 scale takes its subgradient 0
+    logw, spec = np.log(rng.dirichlet(np.ones(m))), sd.CostSpec(p, 0.1)
+    monkeypatch.setattr(engine, "PAIR_BUDGET", 40 * m)
+    plan = ReductionPlan(n, m, tile_size=37, mode=mode)
+    args = (ys, xs, spec)
+    interval = sys.getswitchinterval()
+    for first in ("lse_rows", "lse_rows_with_grad"):
+        store = engine.CostStore(plan, *args)
+        calls = [first] + ["lse_rows_with_grad", "exp_grad_rows", "lse_rows"] * 2
+        for call, (op, threads) in enumerate(zip(calls, (1, 4, 2, 3, 1, 4, 2))):
+            pot, row_pot = rng.normal(0, 1, m), rng.normal(0, 1, n)
+            vecs = (logw, row_pot) if op == "exp_grad_rows" else (logw, pot)
+            reduction = getattr(engine, op)
+            sys.setswitchinterval(1e-6)  # switch workers as often as possible
+            try:
+                with worker_threads(threads):
+                    want = reduction(plan, *vecs, *args)
+                    got = reduction(plan, *vecs, *args, store=store)
+            finally:
+                sys.setswitchinterval(interval)
+            for g, w in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, want))):
+                assert np.array_equal(g, w), (first, call, op)
+            assert store.ready
+        # every worker's buffers grew to the three a gradient takes
+        assert {len(bufs) for bufs in store.bufs.values()} == {3}

@@ -47,6 +47,8 @@ BAD_INPUTS = [
     ("n-rows-array", lambda tmp: ReductionPlan(np.array([3]), 3), sd.InvalidInput, "^n_rows "),
     ("samples-float", lambda tmp: sd.sample_unit_square(2.5), sd.InvalidInput, "^n "),
     ("samples-bool", lambda tmp: sd.sample_unit_square(True), sd.InvalidInput, "^n "),
+    ("seed-negative", lambda tmp: sd.sample_unit_square(2, seed=-1), sd.InvalidInput, "^seed "),
+    ("seed-float", lambda tmp: sd.sample_unit_square(2, seed=1.5), sd.InvalidInput, "^seed "),
     ("p-bool", lambda tmp: sd.CostSpec(True, 0.1), sd.InvalidInput, "^p "),
     ("solver-p-bool", lambda tmp: sd.SolverParams(0.1, p=True), sd.InvalidInput, "^p "),
     ("max-entries-nan", lambda tmp: sd.plan_matrix(*_pair(), np.zeros(2), np.zeros(1), SPEC,
@@ -61,6 +63,11 @@ BAD_INPUTS = [
     ("epsilon-none", lambda tmp: sd.CostSpec(2, None), sd.InvalidInput, "^epsilon "),
     ("epsilon-nan", lambda tmp: sd.CostSpec(2, NAN), sd.InvalidInput, "^epsilon "),
     ("epsilon-bool", lambda tmp: sd.CostSpec(2, True), sd.InvalidInput, "^epsilon "),
+    ("epsilon-huge-int", lambda tmp: sd.CostSpec(2, 10**400), sd.InvalidInput, "^epsilon "),
+    ("solver-epsilon-huge-int", lambda tmp: sd.SolverParams(epsilon=10**400), sd.InvalidInput,
+     "^epsilon "),
+    ("sigma-huge-int", lambda tmp: sd.MmdKernelSpec("gaussian", sigma=10**400),
+     sd.InvalidInput, "^sigma "),
     ("sigma-string", lambda tmp: sd.MmdKernelSpec("gaussian", "1"), sd.InvalidInput, "^sigma "),
     ("sigma-array", lambda tmp: sd.MmdKernelSpec("gaussian", np.array([1.0])), sd.InvalidInput,
      "^sigma "),

@@ -206,8 +206,8 @@ def test_hausdorff_force_is_a_descent_direction():
 
 PUBLIC_VALUES = {"ot_eps": sd.ot_eps, "sinkhorn": sd.sinkhorn_divergence,
                  "hausdorff": sd.hausdorff_divergence}
-WARM_KEYS = {"ot_eps": {"f"}, "sinkhorn": {"f", "p", "q", "target"},
-             "hausdorff": {"p", "q", "target"}}
+WARM_KEYS = {"ot_eps": {"f", "stores"}, "sinkhorn": {"f", "p", "q", "target", "stores"},
+             "hausdorff": {"p", "q", "target", "stores"}}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -252,6 +252,39 @@ def test_warm_potentials_round_trip_and_speed_up_the_next_solve():
     assert warm_iters <= 2  # restarting at the solution is nearly free
     assert v1 == pytest.approx(
         sd.sinkhorn_divergence(alpha, beta, params).value, rel=1e-8, abs=1e-10)
+
+
+KEPT_STORES = {"ot_eps": {"ab", "ba"}, "sinkhorn": {"aa", "ab", "ba"}, "hausdorff": {"aa", "ab"}}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("loss", ["ot_eps", "sinkhorn", "hausdorff"])
+def test_warm_evaluations_take_over_their_kept_blocks_with_the_bits_of_fresh_ones(loss, p):
+    # a flow's steps: the first call has no warm state, each later one the
+    # previous call's; the same call with the potentials but without the
+    # stores makes its blocks afresh and must give the same bits
+    rng = np.random.default_rng(39)
+    alpha, beta = random_measure(rng, 30, 2), random_measure(rng, 25, 2)
+    params = sd.SolverParams(epsilon=0.1, p=p, tol=1e-10, max_iters=20000)
+    x, warm = alpha.positions, {}
+    for step in range(3):
+        a = sd.from_arrays(alpha.weights, x)
+        fresh = {key: value for key, value in warm.items() if key != "stores"}
+        v, grad, out, diag = evaluate(loss, a, beta, params=params, warm=warm, want_grad=True)
+        v2, grad2, out2, diag2 = evaluate(loss, a, beta, params=params, warm=fresh,
+                                          want_grad=True)
+        assert (v, diag) == (v2, diag2)
+        assert np.array_equal(grad.d_weights, grad2.d_weights)
+        assert np.array_equal(grad.d_positions, grad2.d_positions)
+        if step == 0:  # a flow's first step is a cold call
+            assert v == PUBLIC_VALUES[loss](a, beta, params).value
+        for key, old in warm.get("stores", {}).items():
+            new = out["stores"][key]
+            assert np.shares_memory(new.cost, old.cost), (step, key)
+            assert all(np.shares_memory(new.bufs[w], old.bufs[w]) for w in old.bufs)
+            assert not np.shares_memory(out2["stores"][key].cost, old.cost)
+        warm, x = out, x - 0.5 * grad.d_positions
+    assert set(warm["stores"]) == KEPT_STORES[loss]
 
 
 def _counting(monkeypatch, name, calls):
