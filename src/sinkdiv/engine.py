@@ -178,13 +178,12 @@ class CostStore:
     passes it to every reduction there, with the plan, point arrays and cost
     it was made for. The points are validated once, when the store is made,
     and the log-weights once per array handed in. While ``n_rows * n_cols
-    <= CACHE_PAIRS`` the first call keeps each row block's ``C / eps``, or
-    copies them bitwise transposed from a ready ``mirror``, and later calls
-    start from it. The workers' block buffers are kept too, so a store
-    serves one evaluation at a time; made with a ``spare`` store of its plan,
-    it takes over the spare's arrays, none of its values. A call without a
-    store runs on a one-shot store that keeps no costs, with bitwise the
-    same results. Neither points nor log-weights may change while in use.
+    <= CACHE_PAIRS`` the first call keeps each row block's ``C / eps`` (or
+    copies its ready ``mirror``'s, transposed) and later calls start from it.
+    The workers' block buffers are kept too, so a store serves one evaluation
+    at a time; made from a ``spare`` of its plan, it takes the spare's arrays.
+    A call without a store runs on a one-shot store that keeps no costs, with
+    the same bits. Neither points nor log-weights may change while in use.
     """
 
     keeps = True  # whether the store may keep C / eps; a one-shot store does not
@@ -203,8 +202,9 @@ class CostStore:
         self.ready = False
         self.logw = (None, None)  # the log-weights last handed in, and validated
         self.mirror = None  # a store of the other direction to copy the costs of
-        if spare is not None and spare.plan == plan:  # its arrays, none of its values
-            self.cost, self.bufs = spare.cost, dict(spare.bufs)
+        if spare is not None and spare.plan == plan and spare.cost is not None:
+            self.cost, self.bufs = spare.cost, spare.bufs
+            spare.cost, spare.bufs, spare.ready, spare.mirror = None, {}, False, None
             return
         kept = self.keeps and plan.n_rows * plan.n_cols <= CACHE_PAIRS
         self.cost = _aligned_empty((plan.n_rows, plan.n_cols)) if kept else None
@@ -259,11 +259,11 @@ def _reduce(op, store, vecs, col, row=None, *, sums=True, grad=False):
     given ``row``, also weigh the gradient sums. They are shifted by their
     exact row maximum ``mx``, raised to ``EXP_FLOOR`` when not ``grad`` and
     :func:`_may_underflow`, and exponentiated. A kernel's terms come from
-    :func:`_kernel_terms` with the weights ``col``. A kept block's ``p = 1``
-    gradient scale is made from its squared distances built again. ``acc``
-    holds the row sums of the terms (``sums``), ``gacc`` those of ``diff_k *
-    scale * gweights`` (``grad``); ``vecs``, the call's validated input
-    vectors, are counted in its accounting.
+    :func:`_kernel_terms` with the weights ``col``. A kept ``p = 1`` block
+    builds its distances again for its gradient ``scale``. ``acc`` holds the
+    row sums of the terms (``sums``), ``gacc`` those of ``diff_k * scale *
+    gweights`` (``grad``); ``vecs``, the call's validated input vectors, are
+    counted in its accounting.
     """
     plan, xs, ys, cost, spec = store.plan, store.xs, store.ys, store.cost, store.spec
     if cost is not None and not store.ready and store.mirror and store.mirror.ready:
@@ -281,8 +281,8 @@ def _reduce(op, store, vecs, col, row=None, *, sums=True, grad=False):
     workers = min(_WORKERS, -(-n // rb))  # at most one per row block
 
     def work(first):
-        if len(store.bufs.get(first, ())) < n_buf:  # a 1D store grows for its first gradient
-            store.bufs.pop(first, None)  # freed before its successor is made
+        if len(store.bufs.get(first, ())) < n_buf:  # a store grows for its first gradient
+            store.bufs.pop(first, None)  # the old buffers go before the new are made
             store.bufs[first] = _aligned_empty((n_buf, rb, m))
         bufs = store.bufs[first]
         for r0 in range(first * rb, n, workers * rb):
@@ -431,8 +431,7 @@ def lse_rows_with_grad(plan: ReductionPlan, logw: np.ndarray, pot: np.ndarray,
 
     Returns ``(lse, grad)`` where ``grad[i]`` is the convex combination
     ``sum_j softmax_ij * dC(x_i, y_j)/dx_i`` of cost gradients under the
-    softmax weights implied by the same terms as :func:`lse_rows` (and on a
-    ``store`` as it).
+    softmax weights of the same terms as :func:`lse_rows`, ``store`` as there.
     """
     store = _bind(plan, targets, sources, spec, store, logw)
     logw, pot = store.logw[1], _check_vector("pot", pot, plan.n_cols)

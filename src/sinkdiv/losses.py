@@ -136,18 +136,16 @@ def _extension(params: SolverParams, source: DiscreteMeasure, potential: np.ndar
     return lse_rows_with_grad(*args) if grad else (lse_rows(*args), None)
 
 
-def _store(warm: dict, key: str, source: DiscreteMeasure, target: DiscreteMeasure,
-           params: SolverParams) -> CostStore:
-    """The :class:`CostStore` of rows on ``target``'s support against
-    ``source``'s, on the arrays of the store ``warm`` keeps under ``key``."""
-    plan = ReductionPlan(target.n_atoms, source.n_atoms)
-    return CostStore(plan, source.positions, target.positions, params.cost_spec,
-                     spare=warm.get("stores", {}).get(key))
+def _store(warm, key, source, target, params) -> CostStore:
+    """The store of rows on ``target`` against ``source``, on the arrays of ``warm``'s ``key``."""
+    return CostStore(ReductionPlan(target.n_atoms, source.n_atoms), source.positions,
+                     target.positions, params.cost_spec, spare=warm.get("stores", {}).get(key))
 
 
 def _cross(alpha, beta, params, warm, stores, init_f, want_grad):
-    """The cross solve, on a store put in ``stores`` with, in a warm call, its
-    mirror, and with ``want_grad`` its gradient term in ``alpha``'s points."""
+    """The cross solve on a store put in ``stores``, and with ``want_grad``
+    its gradient term in ``alpha``'s points. Only a warm call keeps the
+    mirror: a cold one lets the solve drop it before the gradient pass."""
     ab = stores["ab"] = _store(warm, "ab", beta, alpha, params)
     if warm:
         ab.mirror = stores["ba"] = _store(warm, "ba", alpha, beta, params)
@@ -177,11 +175,10 @@ def evaluate(loss: str, alpha: DiscreteMeasure, beta: DiscreteMeasure, *,
     moved ``alpha``. It holds a transport loss's potentials and, with a
     value, ``beta``'s own terms as ``target`` (``<beta, K beta>`` or its
     :class:`SymmetricDual`), reused for the same ``beta`` object and an
-    equal spec only (a self solve also only if it converged). Its
-    ``stores`` hold a transport loss's cost blocks, whose memory the next
-    evaluation takes over; a call with no warm state frees ``alpha``'s own
-    block early. Like a :class:`CostStore`, a warm dict serves one
-    evaluation at a time and only while ``beta``'s arrays are unchanged.
+    equal spec only (a self solve also only if it converged). Its ``stores``
+    hold a transport loss's cost blocks, whose memory the next evaluation
+    takes over. Like a :class:`CostStore`, a warm dict serves one evaluation
+    at a time, and only while ``beta``'s arrays are unchanged.
 
     Returns ``(value, gradient, warm_out, diagnostics)``. ``value`` is None
     unless ``want_value``; ``gradient`` is a :class:`LossGradient`, or None
@@ -279,8 +276,7 @@ def _hausdorff(alpha, beta, params, warm, want_value, want_grad):
     p = auto_a.potential
 
     def column(target, lse_p, store):
-        # Column-side terms: how moving atom x_i changes T(alpha, p) at each
-        # evaluation point z, weighted by the measure sitting at z.
+        # how moving atom x_i changes T(alpha, p) at each point z, weighted by z's mass
         return exp_grad_rows(ReductionPlan(alpha.n_atoms, target.n_atoms),
                              target.log_weights - lse_p, p, target.positions,
                              alpha.positions, spec, store)

@@ -4,16 +4,14 @@ The dual problem is solved by alternating soft-minimum updates on a pair of
 potentials ``(f, g)`` living on the two supports. Every update is one call of
 the module-level :func:`engine.lse_rows`, which a tracer can rebind, on the
 solve's :class:`engine.CostStore` for that direction. The store checks the
-points and log-weights once per solve and, up to ``engine.CACHE_PAIRS`` pairs,
-keeps the ``C / eps`` its first call builds (8 bytes per pair and direction);
-larger problems stream in linear memory. A cross solve builds the costs of the
-direction it reduces first and copies the other as their bitwise transpose
-(0.22 against 0.94 ms at 500 x 500 in 1D, 1.4 against 2.9 ms at 800 x 800 in
-2D, one x86 Xeon core). Both are kept so that every iteration reads its blocks
-contiguously, 1.6 to 3.2 times faster per reduction than a transposed view
-(n = 800 to 2048). A caller may pass a solve its store and read the kept costs
-again. Apart from them, only the explicit diagnostics helpers build a pairwise
-matrix, and they guard its size.
+points and log-weights once per solve and, up to ``engine.CACHE_PAIRS``
+pairs, keeps the ``C / eps`` its first call builds (8 bytes per pair and
+direction); larger problems stream in linear memory. A cross solve copies its
+second direction as the bitwise transpose of the first (0.22 against 0.94 ms
+to build at 500 x 500 in 1D); both are kept so that every iteration reads its
+blocks contiguously, 1.6 to 3.2 times faster per reduction than a transposed
+view (n = 800 to 2048). Apart from the kept costs, only the explicit
+diagnostics helpers build a pairwise matrix, and they guard its size.
 
 Two loops are provided:
 
@@ -174,9 +172,8 @@ def sinkhorn(
 
     The reported pair is always ``(T(beta, g), g)``, so :func:`dual_value`
     of it is the dual objective; the loop stops once
-    ``sum_i alpha_i |T(beta, g)_i - f_i| <= tol``. The ``f`` updates run on
-    ``store`` if given (made with ``beta.positions``, ``alpha.positions``),
-    the ``g`` updates on its mirror.
+    ``sum_i alpha_i |T(beta, g)_i - f_i| <= tol``. A ``store`` serves the
+    ``f`` updates, its ``mirror`` the ``g`` updates.
     """
     spec = params.cost_spec
     eps = spec.epsilon

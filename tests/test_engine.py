@@ -664,3 +664,11 @@ def test_kept_store_gives_gradient_reductions_the_bits_of_one_shot_calls(p, d, m
             assert store.ready
         # every worker's buffers grew to the three a gradient takes
         assert {len(bufs) for bufs in store.bufs.values()} == {3}
+        # a store made from this spare takes its arrays; the spare then streams
+        moved, kept = xs + 0.5, store.cost
+        heir = engine.CostStore(plan, ys, moved, spec, spare=store)
+        assert heir.cost is kept and (store.cost, store.bufs, store.ready) == (None, {}, False)
+        for user, points in ((heir, moved), (store, xs)):
+            want = lse_rows_with_grad(plan, logw, pot, ys, points, spec)
+            got = lse_rows_with_grad(plan, logw, pot, ys, points, spec, store=user)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), first

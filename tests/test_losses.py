@@ -270,19 +270,22 @@ def test_warm_evaluations_take_over_their_kept_blocks_with_the_bits_of_fresh_one
     for step in range(3):
         a = sd.from_arrays(alpha.weights, x)
         fresh = {key: value for key, value in warm.items() if key != "stores"}
+        kept = {key: (old.cost, dict(old.bufs)) for key, old in warm.get("stores", {}).items()}
         v, grad, out, diag = evaluate(loss, a, beta, params=params, warm=warm, want_grad=True)
         v2, grad2, out2, diag2 = evaluate(loss, a, beta, params=params, warm=fresh,
                                           want_grad=True)
         assert (v, diag) == (v2, diag2)
         assert np.array_equal(grad.d_weights, grad2.d_weights)
         assert np.array_equal(grad.d_positions, grad2.d_positions)
-        if step == 0:  # a flow's first step is a cold call
+        if step == 0:  # a flow's first step is a cold call, which keeps fewer blocks
             assert v == PUBLIC_VALUES[loss](a, beta, params).value
-        for key, old in warm.get("stores", {}).items():
-            new = out["stores"][key]
-            assert np.shares_memory(new.cost, old.cost), (step, key)
-            assert all(np.shares_memory(new.bufs[w], old.bufs[w]) for w in old.bufs)
-            assert not np.shares_memory(out2["stores"][key].cost, old.cost)
+            assert set(out["stores"]) == KEPT_STORES[loss] - {"aa", "ba"}
+        for key, (cost, bufs) in kept.items():  # handed over: the old store keeps nothing
+            new, old = out["stores"][key], warm["stores"][key]
+            assert np.shares_memory(new.cost, cost), (step, key)
+            assert all(np.shares_memory(new.bufs[w], bufs[w]) for w in bufs)
+            assert not np.shares_memory(out2["stores"][key].cost, cost)
+            assert (old.cost, old.bufs, old.ready, old.mirror) == (None, {}, False, None)
         warm, x = out, x - 0.5 * grad.d_positions
     assert set(warm["stores"]) == KEPT_STORES[loss]
 
